@@ -14,7 +14,6 @@ from .discrimination import (
     ds_pure_harmonic,
     ds_qubit_qudit,
     helstrom_error,
-    s_half_lemma_check,
 )
 from .errors import MetrocorrError
 from .fisher import (
@@ -35,7 +34,6 @@ from .linalg import (
     embed,
     haar_unitary,
     linear_spectrum,
-    mat_sqrt,
     partial_trace,
     random_density,
     tensor,
@@ -47,12 +45,12 @@ from .sim import (
     EstimationConfig,
     ExperimentRecord,
     SweepTable,
+    correlation,
     run_discrimination,
     run_phase_estimation,
     sweep_states,
 )
 from .states import (
-    StateSpec,
     build_state,
     load_observable,
     load_state,
@@ -88,12 +86,12 @@ __all__ = [
     "OptimizerConfig",
     "PhaseChannel",
     "Povm",
-    "StateSpec",
     "SweepTable",
     "build_state",
     "chernoff",
     "classical_fisher",
     "classical_uncertainty",
+    "correlation",
     "cramer_rao",
     "ds_general",
     "ds_pure",
@@ -116,14 +114,12 @@ __all__ = [
     "make_fig1_state",
     "make_schmidt_pure",
     "make_werner",
-    "mat_sqrt",
     "partial_trace",
     "qfi",
     "random_cq",
     "random_density",
     "run_discrimination",
     "run_phase_estimation",
-    "s_half_lemma_check",
     "save_observable",
     "save_state",
     "skew_information",

@@ -12,14 +12,21 @@ import sys
 
 import numpy as np
 
-from .discrimination import chernoff, ds_general, ds_qubit_qudit
+from .discrimination import chernoff
 from .errors import MetrocorrError, ZeroInformation
-from .fisher import PhaseChannel, ip_general, ip_qubit_qudit, qfi
-from .linalg import Observable, linear_spectrum
+from .fisher import PhaseChannel, qfi
+from .linalg import Observable
 from .manifold import MeasureResult, OptimizerConfig
-from .sim import EstimationConfig, run_discrimination, run_phase_estimation, sweep_states
+from .sim import (
+    CORRELATIONS,
+    EstimationConfig,
+    correlation,
+    run_discrimination,
+    run_phase_estimation,
+    sweep_states,
+)
 from .states import load_observable, load_state
-from .uncertainty import lqu_general, lqu_qubit_qudit, skew_information
+from .uncertainty import skew_information
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -38,26 +45,19 @@ def _parse_grid(text: str):
     return float(lo), float(hi), int(n)
 
 
-def _certificate_summary(cert) -> dict:
-    if isinstance(cert, Observable):
-        direction = None
-        if cert.dim == 2:
-            mat = cert.matrix
-            scale = 0.5 * (cert.spectrum[-1] - cert.spectrum[0])
-            direction = [
-                float(np.real(mat[0, 1])) / scale,
-                float(-np.imag(mat[0, 1])) / scale,
-                float(np.real(mat[0, 0] - mat[1, 1])) / (2 * scale),
-            ]
-        out = {"spectrum": [float(x) for x in cert.spectrum]}
-        if direction is not None:
-            out["direction"] = direction
-        return out
-    if isinstance(cert, tuple):
-        return {"permutation": list(cert)}
+def _certificate_summary(cert: Observable | None) -> dict:
     if cert is None:
         return {}
-    return {"certificate": np.asarray(cert).tolist()}
+    out = {"spectrum": [float(x) for x in cert.spectrum]}
+    if cert.dim == 2:
+        mat = cert.matrix
+        scale = 0.5 * (cert.spectrum[-1] - cert.spectrum[0])
+        out["direction"] = [
+            float(np.real(mat[0, 1])) / scale,
+            float(-np.imag(mat[0, 1])) / scale,
+            float(np.real(mat[0, 0] - mat[1, 1])) / (2 * scale),
+        ]
+    return out
 
 
 def _print_result(res: MeasureResult) -> None:
@@ -88,72 +88,29 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_measure(args) -> int:
     rho = load_state(args.state)
-    cfg = OptimizerConfig(restarts=args.restarts, value_tol=args.tol, seed=args.seed)
-    qubit_a = len(rho.dims) == 2 and rho.dims[0] == 2
-
-    if args.measure == "lqu":
-        if args.general or args.spectrum is not None or not qubit_a:
-            spectrum = (
-                _parse_spectrum(args.spectrum)
-                if args.spectrum is not None
-                else linear_spectrum(rho.dims[0])
-            )
-            res = lqu_general(rho, spectrum, config=cfg)
-        else:
-            res = lqu_qubit_qudit(rho)
-    elif args.measure == "ip":
-        if args.general or args.spectrum is not None or not qubit_a:
-            spectrum = (
-                _parse_spectrum(args.spectrum)
-                if args.spectrum is not None
-                else linear_spectrum(rho.dims[0])
-            )
-            res = ip_general(rho, spectrum, config=cfg)
-        else:
-            res = ip_qubit_qudit(rho)
-    elif args.measure == "ds":
-        if args.general or args.spectrum is not None or not qubit_a:
-            spectrum = (
-                _parse_spectrum(args.spectrum)
-                if args.spectrum is not None
-                else linear_spectrum(rho.dims[0]) * args.ds_lambda
-            )
-            res = ds_general(rho, spectrum, config=cfg)
-        else:
-            res = ds_qubit_qudit(rho, args.ds_lambda)
-    elif args.measure == "skew":
+    if args.measure in CORRELATIONS:
+        cfg = OptimizerConfig(restarts=args.restarts, value_tol=args.tol, seed=args.seed)
+        spectrum = None if args.spectrum is None else _parse_spectrum(args.spectrum)
+        res = correlation(args.measure, rho, spectrum, args.ds_lambda, cfg, args.general)
+    elif args.measure in ("skew", "qfi"):
         if args.observable is None:
-            raise MetrocorrError("--skew needs --observable FILE")
-        obs = load_observable(args.observable)
-        op = obs.matrix if obs.dim == rho.dim else None
-        if op is None:
-            channel = PhaseChannel(obs)
-            op = channel.full_generator(rho)
-        res = MeasureResult(value=skew_information(rho, op))
-    elif args.measure == "qfi":
-        if args.observable is None:
-            raise MetrocorrError("--qfi needs --observable FILE")
+            raise MetrocorrError(f"--{args.measure} needs --observable FILE")
         obs = load_observable(args.observable)
         op = obs.matrix if obs.dim == rho.dim else PhaseChannel(obs).full_generator(rho)
-        res = MeasureResult(value=qfi(rho, op))
+        quantity = skew_information if args.measure == "skew" else qfi
+        res = MeasureResult(value=quantity(rho, op))
     elif args.measure == "chernoff":
         if args.other is None:
             raise MetrocorrError("--chernoff needs --other FILE")
-        other = load_state(args.other)
-        ch = chernoff(rho, other)
-        res = MeasureResult(
-            value=ch.q_value,
-            certificate=None,
-            info={"s_star": ch.s_star, "exponent": ch.exponent},
-        )
+        ch = chernoff(rho, load_state(args.other))
         print(f"value {ch.q_value:.6f}")
         print(f"s_star {ch.s_star:.6f}")
         print(f"exponent {ch.exponent:.6f}")
         print("restarts 0")
         print("converged true")
         if args.json_out:
-            payload = _result_payload(res)
-            payload.update({"s_star": ch.s_star, "exponent": ch.exponent})
+            payload = _result_payload(MeasureResult(value=ch.q_value))
+            payload.update(s_star=ch.s_star, exponent=ch.exponent)
             _write_json(args.json_out, payload)
         return EXIT_OK
     else:  # pragma: no cover - argparse restricts choices

@@ -22,9 +22,9 @@ from .errors import (
     OutOfRange,
     TooManyCopies,
 )
-from .linalg import DensityMatrix, Observable, partial_trace, trace_norm
+from .linalg import DensityMatrix, Observable, check_spectrum, partial_trace, trace_norm
 from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries
-from .uncertainty import _check_op, _check_spectrum, pauli_correlation_matrix
+from .uncertainty import lqu_qubit_qudit
 
 SUPPORT_CUTOFF = 1e-14
 MAX_JOINT_DIM = 16384
@@ -117,28 +117,6 @@ def chernoff(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResult:
     return ChernoffResult(q_value=q, s_star=float(s_star), exponent=exponent)
 
 
-def s_half_lemma_check(rho: DensityMatrix, o) -> tuple[float, float]:
-    """Return (min over s of tr[rho^s O rho^(1-s) O], the value at s = 1/2).
-
-    The two numbers agree for every state/observable pair; both are computed
-    so callers can verify the stationarity of the midpoint directly.
-    """
-    op = _check_op(rho, o)
-    e = rho.eig
-    mask = e.eigenvalues > SUPPORT_CUTOFF
-    v = e.eigenvectors[:, mask]
-    logw = np.log(e.eigenvalues[mask])
-    o_tilde = v.conj().T @ op @ v
-    w = np.abs(o_tilde) ** 2
-
-    def f(s: float) -> float:
-        return float(np.exp(s * logw) @ w @ np.exp((1.0 - s) * logw))
-
-    _, fmin = _golden_min(f)
-    fmin = min(fmin, f(0.0), f(1.0))
-    return fmin, f(0.5)
-
-
 def ds_general(
     rho: DensityMatrix,
     spectrum,
@@ -156,7 +134,7 @@ def ds_general(
     if len(rho.dims) != 2:
         raise DimMismatch(f"bipartite state expected, got dims {rho.dims}")
     d_a = rho.dims[0]
-    lam = _check_spectrum(spectrum, d_a)
+    lam = check_spectrum(spectrum, d_a)
     lam_c = lam - np.mean(lam)
     phases = np.exp(1j * lam_c)
     e = rho.eig
@@ -200,7 +178,7 @@ def ds_pure(psi: DensityMatrix, spectrum) -> MeasureResult:
     d_a = psi.dims[0]
     if d_a > 8:
         raise DimensionTooLarge(f"permutation search limited to d_A <= 8, got {d_a}")
-    lam = _check_spectrum(spectrum, d_a)
+    lam = check_spectrum(spectrum, d_a)
     probs = _schmidt_probs(psi)
     phases = np.exp(1j * lam)
     perms = np.array(list(itertools.permutations(range(d_a))))
@@ -220,9 +198,9 @@ def ds_pure_harmonic(psi: DensityMatrix, omega: float) -> MeasureResult:
     """Discriminating strength of a pure state for an equally spaced spectrum.
 
     Evaluates the alternating assignment (largest Schmidt weight at phase 0,
-    then +omega, -omega, +2 omega, ...) and cross-checks it against the
-    exhaustive permutation search with the same spectrum; both values and
-    their discrepancy are reported.
+    then +omega, -omega, +2 omega, ...): for an equally spaced spectrum it
+    attains the optimum of the exhaustive search in ``ds_pure``, with no
+    limit on d_A.
     """
     d_a = psi.dims[0]
     if not 0.0 < omega <= 2.0 * np.pi / d_a:
@@ -231,36 +209,25 @@ def ds_pure_harmonic(psi: DensityMatrix, omega: float) -> MeasureResult:
     slots = np.arange(d_a)
     alt = np.where(slots % 2 == 0, -(slots // 2), (slots + 1) // 2).astype(float)
     amplitude = probs @ np.exp(1j * alt * omega)
-    value = max(1.0 - float(np.abs(amplitude) ** 2), 0.0)
-    search = ds_pure(psi, omega * np.arange(d_a) - omega * (d_a - 1) / 2.0)
-    discrepancy = abs(value - search.value)
     return MeasureResult(
-        value=value,
+        value=max(1.0 - float(np.abs(amplitude) ** 2), 0.0),
         certificate=alt * omega,
         restarts_used=0,
         converged=True,
-        info={
-            "search_value": search.value,
-            "discrepancy": discrepancy,
-            "consistent": bool(discrepancy <= 1e-8),
-        },
     )
 
 
 def ds_qubit_qudit(rho: DensityMatrix, lam: float) -> MeasureResult:
     """Discriminating strength of a qubit-qudit state for spectrum {-lam, lam}:
-    (1 - lambda_max of the Pauli correlation matrix) * sin^2(lam)."""
+    the unit-spectrum LQU times sin^2(lam), along the same direction."""
     if not 0.0 < lam <= np.pi / 2.0:
         raise OutOfRange(f"spectral half-width must lie in (0, pi/2], got {lam}")
-    pauli_w = pauli_correlation_matrix(rho)
-    evals, evecs = np.linalg.eigh(pauli_w)
-    unit_lqu = max(1.0 - float(evals[-1]), 0.0)
-    direction = evecs[:, -1]
-    u = Observable.pauli(direction).basis_unitary
+    lqu = lqu_qubit_qudit(rho)
+    unit_lqu = max(lqu.value, 0.0)
     return MeasureResult(
         value=unit_lqu * math.sin(lam) ** 2,
-        certificate=Observable(np.array([-lam, lam]), u),
+        certificate=Observable(np.array([-lam, lam]), lqu.certificate.basis_unitary),
         restarts_used=0,
         converged=True,
-        info={"unit_lqu": unit_lqu, "direction": direction},
+        info={"unit_lqu": unit_lqu, "direction": lqu.info["direction"]},
     )

@@ -21,11 +21,12 @@ from .linalg import (
     DensityMatrix,
     Observable,
     as_matrix,
+    check_operator,
+    check_spectrum,
     embed,
     hermitian_part,
 )
 from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries
-from .uncertainty import _check_op, _check_spectrum
 
 PAIR_CUTOFF = 1e-12
 PROB_CUTOFF = 1e-12
@@ -116,7 +117,7 @@ def sld(rho: DensityMatrix, h) -> np.ndarray:
     In the state eigenbasis L_kl = 2 (drho)_kl / (w_k + w_l) with
     drho = -i[h, rho]; entries on numerically null eigenvalue pairs are zero.
     """
-    op = _check_op(rho, h)
+    op = check_operator(rho, h)
     e = rho.eig
     v, w = e.eigenvectors, e.eigenvalues
     drho = -1j * (op @ rho.mat - rho.mat @ op)
@@ -127,17 +128,21 @@ def sld(rho: DensityMatrix, h) -> np.ndarray:
     return hermitian_part(v @ l_tilde @ v.conj().T)
 
 
+def _qfi_weights(w: np.ndarray) -> np.ndarray:
+    """Pair weights (w_k - w_l)^2 / (w_k + w_l), zero where the pair sum is
+    numerically zero."""
+    s = w[:, None] + w[None, :]
+    diff = w[:, None] - w[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > PAIR_CUTOFF, diff * diff / np.where(s > PAIR_CUTOFF, s, 1.0), 0.0)
+
+
 def qfi(rho: DensityMatrix, h) -> float:
     """Quantum Fisher information of rho under the generator h (SLD form)."""
-    op = _check_op(rho, h)
+    op = check_operator(rho, h)
     e = rho.eig
-    w = e.eigenvalues
     h_tilde = e.eigenvectors.conj().T @ op @ e.eigenvectors
-    diff = w[:, None] - w[None, :]
-    s = w[:, None] + w[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = np.where(s > PAIR_CUTOFF, diff * diff / np.where(s > PAIR_CUTOFF, s, 1.0), 0.0)
-    val = 2.0 * float(np.real(np.sum(coeff * np.abs(h_tilde) ** 2)))
+    val = 2.0 * float(np.real(np.sum(_qfi_weights(e.eigenvalues) * np.abs(h_tilde) ** 2)))
     return max(val, 0.0)
 
 
@@ -155,11 +160,8 @@ def quadratic_form_matrix(rho: DensityMatrix) -> np.ndarray:
     if len(rho.dims) != 2 or rho.dims[0] != 2:
         raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
     e = rho.eig
-    w, v = e.eigenvalues, e.eigenvectors
-    s = w[:, None] + w[None, :]
-    diff = w[:, None] - w[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = np.where(s > PAIR_CUTOFF, diff * diff / np.where(s > PAIR_CUTOFF, s, 1.0), 0.0)
+    v = e.eigenvectors
+    coeff = _qfi_weights(e.eigenvalues)
     a = np.stack([v.conj().T @ embed(p, rho.dims, 0) @ v for p in PAULIS])
     m = 0.5 * np.einsum("ij,mij,nij->mn", coeff, a, a.conj())
     return np.real(hermitian_part(m))
@@ -190,13 +192,9 @@ def ip_general(
     if len(rho.dims) != 2:
         raise DimMismatch(f"bipartite state expected, got dims {rho.dims}")
     d = rho.dims[0]
-    lam = _check_spectrum(spectrum, d)
+    lam = check_spectrum(spectrum, d)
     e = rho.eig
-    w = e.eigenvalues
-    s = w[:, None] + w[None, :]
-    diff = w[:, None] - w[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = np.where(s > PAIR_CUTOFF, diff * diff / np.where(s > PAIR_CUTOFF, s, 1.0), 0.0)
+    coeff = _qfi_weights(e.eigenvalues)
     # eigenvectors resolved into (A index, B index, eigenvector label)
     v3 = e.eigenvectors.reshape(rho.dims[0], rho.dims[1], rho.dim)
 

@@ -53,7 +53,7 @@ def require_hermitian(m, atol: float = HERM_ATOL) -> np.ndarray:
     """Validate Hermiticity entrywise and return the symmetrized matrix."""
     a = as_matrix(m)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > atol:
+    if not dev <= atol:  # a NaN deviation fails this test too
         raise NotHermitian(f"max |M - M^dag| = {dev:.3e} exceeds {atol:.0e}")
     return hermitian_part(a)
 
@@ -165,9 +165,12 @@ def pure_density(vec, dims: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(dims, np.outer(v, v.conj()))
 
 
-def mat_sqrt(rho: DensityMatrix) -> np.ndarray:
-    """Matrix square root of a density matrix (cached on the instance)."""
-    return rho.sqrtm
+def check_operator(rho: DensityMatrix, o) -> np.ndarray:
+    """Coerce an operator on the full space of ``rho``, checking its side."""
+    op = as_matrix(o)
+    if op.shape[0] != rho.dim:
+        raise DimMismatch(f"operator side {op.shape[0]} != state side {rho.dim}")
+    return op
 
 
 def tensor(a, b) -> np.ndarray:
@@ -260,6 +263,16 @@ def linear_spectrum(d: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, d)
 
 
+def check_spectrum(spectrum, d: int) -> np.ndarray:
+    """Sort a spectrum of length d, rejecting gaps below SPECTRUM_GAP."""
+    lam = np.sort(np.asarray(spectrum, dtype=float).reshape(-1))
+    if lam.size != d:
+        raise DimMismatch(f"spectrum length {lam.size} != measured-subsystem dimension {d}")
+    if lam.size > 1 and np.min(np.diff(lam)) < SPECTRUM_GAP:
+        raise DegenerateSpectrum("spectrum gaps below 1e-9 are not allowed")
+    return lam
+
+
 @dataclass(eq=False)
 class Observable:
     """Hermitian operator K = U diag(spectrum) U^dag with an explicit non-degenerate spectrum.
@@ -279,13 +292,8 @@ class Observable:
             raise DimMismatch(
                 f"basis shape {u.shape} incompatible with spectrum of length {lam.size}"
             )
-        order = np.argsort(lam)
-        lam = lam[order]
-        u = u[:, order]
-        if lam.size > 1 and np.min(np.diff(lam)) < SPECTRUM_GAP:
-            raise DegenerateSpectrum(
-                f"minimum spectral gap {np.min(np.diff(lam)):.3e} below {SPECTRUM_GAP:.0e}"
-            )
+        u = u[:, np.argsort(lam)]
+        lam = check_spectrum(lam, lam.size)
         dev = np.max(np.abs(u.conj().T @ u - np.eye(lam.size)))
         if dev > UNITARY_ATOL:
             raise NotUnitary(f"basis deviates from unitarity by {dev:.3e}")

@@ -14,6 +14,8 @@ from scipy.optimize import minimize
 
 from .linalg import haar_unitary
 
+MAXITER = 2000  # Nelder-Mead iterations per restart
+
 
 @dataclass
 class OptimizerConfig:
@@ -29,9 +31,7 @@ class OptimizerConfig:
     restarts: int = 16
     value_tol: float = 1e-9
     reproduce_tol: float = 1e-7
-    maxiter: int = 2000
     seed: int = 0
-    polish: bool = True
 
 
 @dataclass
@@ -113,8 +113,8 @@ def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None)
     nm_options = {
         "xatol": 1e-8,
         "fatol": max(cfg.value_tol * 1e-3, 1e-14),
-        "maxiter": cfg.maxiter,
-        "maxfev": 2 * cfg.maxiter,
+        "maxiter": MAXITER,
+        "maxfev": 2 * MAXITER,
         "adaptive": d > 2,
     }
     values = []
@@ -124,7 +124,7 @@ def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None)
         x0 = coords_from_unitary(haar_unitary(d, rng), basis)
         res = minimize(objective, x0, method="Nelder-Mead", options=nm_options)
         # polish only candidates competitive with the incumbent optimum
-        if cfg.polish and res.fun <= best_val + 1e-4:
+        if res.fun <= best_val + 1e-4:
             pol = minimize(
                 objective,
                 res.x,

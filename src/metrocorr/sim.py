@@ -23,14 +23,22 @@ from .discrimination import (
     ds_qubit_qudit,
     helstrom_error,
 )
-from .errors import DegenerateGrid, DimMismatch, OutOfRange, TooManyCopies, ZeroInformation
+from .errors import DegenerateGrid, OutOfRange, TooManyCopies, ZeroInformation
 from .fisher import PhaseChannel, cramer_rao, ip_general, ip_qubit_qudit, qfi, sld
-from .linalg import PAULI_Z, DensityMatrix, Observable, embed, hermitian_part, linear_spectrum
-from .manifold import OptimizerConfig
+from .linalg import (
+    PAULI_Z,
+    DensityMatrix,
+    Observable,
+    check_spectrum,
+    embed,
+    hermitian_part,
+    linear_spectrum,
+)
+from .manifold import MeasureResult, OptimizerConfig
 from .states import build_state
 from .uncertainty import (
-    _check_spectrum,
     classical_uncertainty,
+    lqu_general,
     lqu_qubit_qudit,
     skew_information,
     variance,
@@ -38,14 +46,13 @@ from .uncertainty import (
 
 DEFAULT_GRID_POINTS = 2001
 GRID_HALF_WIDTH_SIGMAS = 5.0
+CORRELATIONS = ("lqu", "ip", "ds")
 
 
 def _pyfloat(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if isinstance(x, np.ndarray):
-        return [_pyfloat(v) for v in x]
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (np.ndarray, list, tuple)):
         return [_pyfloat(v) for v in x]
     if isinstance(x, dict):
         return {k: _pyfloat(v) for k, v in x.items()}
@@ -71,18 +78,18 @@ class ExperimentRecord:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_tsv(self) -> str:
-        names = list(self.columns)
-        lines = ["# " + "\t".join(names)]
-        length = len(next(iter(self.columns.values()))) if names else 0
-        for i in range(length):
-            lines.append("\t".join(_fmt(self.columns[c][i]) for c in names))
-        return "\n".join(lines) + "\n"
+        return _tsv(self.columns, zip(*self.columns.values()))
 
 
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".12g")
+
+
+def _tsv(names, rows) -> str:
+    lines = ["# " + "\t".join(names)] + ["\t".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(eq=False)
@@ -99,16 +106,38 @@ class EstimationConfig:
     worst_case: bool = False
 
 
+def correlation(
+    name: str,
+    rho: DensityMatrix,
+    spectrum=None,
+    lam: float = np.pi / 4,
+    config: OptimizerConfig | None = None,
+    general: bool = False,
+) -> MeasureResult:
+    """LQU, IP or DS of a bipartite state, by closed form or by the optimizer.
+
+    A qubit probe (d_A = 2) with no spectrum given and ``general`` unset takes
+    the closed form (DS with spectrum {-lam, lam}).  Every other case runs the
+    ``*_general`` search with the given spectrum, or by default the linear
+    spectrum on d_A values (times lam for DS).
+    """
+    if name not in CORRELATIONS:
+        raise OutOfRange(f"unknown measure {name!r}; known: {', '.join(CORRELATIONS)}")
+    if spectrum is None and not general and len(rho.dims) == 2 and rho.dims[0] == 2:
+        if name == "ds":
+            return ds_qubit_qudit(rho, lam)
+        return lqu_qubit_qudit(rho) if name == "lqu" else ip_qubit_qudit(rho)
+    if spectrum is None:
+        spectrum = linear_spectrum(rho.dims[0]) * (lam if name == "ds" else 1.0)
+    # looked up at call time, so that rebinding a measure's name takes effect
+    search = {"lqu": lqu_general, "ip": ip_general, "ds": ds_general}[name]
+    return search(rho, spectrum, config)
+
+
 def _resolve_generator(cfg: EstimationConfig):
     if not cfg.worst_case and cfg.generator is not None:
         return cfg.generator, None
-    rho = cfg.state
-    if len(rho.dims) != 2:
-        raise DimMismatch("worst-case generator needs a bipartite state")
-    if rho.dims[0] == 2:
-        ip = ip_qubit_qudit(rho)
-    else:
-        ip = ip_general(rho, linear_spectrum(rho.dims[0]), OptimizerConfig(seed=cfg.seed))
+    ip = correlation("ip", cfg.state, config=OptimizerConfig(seed=cfg.seed))
     return ip.certificate, ip.value
 
 
@@ -220,7 +249,7 @@ def run_discrimination(
     -ln(P(n)/P(n-1)) with P(0) = 1/2; its value at n_max is compared with the
     asymptotic exponent.
     """
-    lam = _check_spectrum(spectrum, rho.dims[0])
+    lam = check_spectrum(spectrum, rho.dims[0])
     if rho.dim**n_max > MAX_JOINT_DIM:
         raise TooManyCopies(f"{rho.dim}^{n_max} exceeds the exact-computation guard")
     ds_value = None
@@ -280,10 +309,7 @@ class SweepTable:
     rows: np.ndarray
 
     def to_tsv(self) -> str:
-        lines = ["# " + "\t".join(self.columns)]
-        for row in self.rows:
-            lines.append("\t".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return _tsv(self.columns, self.rows)
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]
@@ -293,7 +319,7 @@ def sweep_states(family: str, grid, measures, ds_lambda: float = np.pi / 4) -> S
     """Evaluate measures over a one-parameter state family.
 
     Single-qubit families support variance/skew/classical (measured along z);
-    bipartite families support lqu/ip/ds closed forms.
+    bipartite families support lqu/ip/ds (see ``correlation``).
     """
     if family not in SWEEP_PARAM:
         raise OutOfRange(f"sweepable families: {sorted(SWEEP_PARAM)}; got {family!r}")
@@ -310,12 +336,8 @@ def sweep_states(family: str, grid, measures, ds_lambda: float = np.pi / 4) -> S
                 rows[i, j] = skew_information(rho, PAULI_Z)
             elif m == "classical":
                 rows[i, j] = classical_uncertainty(rho, PAULI_Z)
-            elif m == "lqu":
-                rows[i, j] = lqu_qubit_qudit(rho).value
-            elif m == "ip":
-                rows[i, j] = ip_qubit_qudit(rho).value
-            elif m == "ds":
-                rows[i, j] = ds_qubit_qudit(rho, ds_lambda).value
+            elif m in CORRELATIONS:
+                rows[i, j] = correlation(m, rho, lam=ds_lambda).value
             else:
                 raise OutOfRange(f"unknown measure {m!r}")
     return SweepTable([SWEEP_PARAM[family]] + measures, rows)

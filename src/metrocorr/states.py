@@ -10,7 +10,6 @@ an extra ``"spectrum"`` field listing the eigenvalues.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -203,18 +202,6 @@ def load_observable(path) -> Observable:
 
 # ---------------------------------------------------------------------------
 # parametrized families
-
-
-@dataclass
-class StateSpec:
-    """A named state family plus the parameters needed to build one instance."""
-
-    family: str
-    parameters: dict = field(default_factory=dict)
-    dims: tuple[int, ...] | None = None
-
-    def build(self) -> DensityMatrix:
-        return build_state(self.family, self.parameters, self.dims)
 
 
 def build_state(family: str, parameters: Mapping | None = None, dims=None) -> DensityMatrix:

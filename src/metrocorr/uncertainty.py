@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimMismatch
-from .linalg import PAULIS, DensityMatrix, Observable, as_matrix, embed, partial_trace
+from .errors import DimMismatch
+from .linalg import (
+    PAULIS,
+    DensityMatrix,
+    Observable,
+    check_operator,
+    check_spectrum,
+    embed,
+    partial_trace,
+)
 from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries
-
-SPECTRUM_GAP = 1e-9
-
-
-def _check_op(rho: DensityMatrix, o) -> np.ndarray:
-    op = as_matrix(o)
-    if op.shape[0] != rho.dim:
-        raise DimMismatch(f"operator side {op.shape[0]} != state side {rho.dim}")
-    return op
 
 
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
@@ -31,7 +30,7 @@ def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
 
 def variance(rho: DensityMatrix, o) -> float:
     """V(rho, O) = tr[rho O^2] - tr[rho O]^2."""
-    op = _check_op(rho, o)
+    op = check_operator(rho, o)
     mean = _trace_prod(rho.mat, op)
     second = _trace_prod(rho.mat, op @ op)
     return max(second - mean * mean, 0.0)
@@ -39,7 +38,7 @@ def variance(rho: DensityMatrix, o) -> float:
 
 def skew_information(rho: DensityMatrix, o) -> float:
     """Wigner-Yanase skew information tr[rho O^2] - tr[sqrt(rho) O sqrt(rho) O]."""
-    op = _check_op(rho, o)
+    op = check_operator(rho, o)
     r = rho.sqrtm
     second = _trace_prod(rho.mat, op @ op)
     cross = _trace_prod(r @ op, r @ op)
@@ -59,14 +58,10 @@ def hellinger_sq(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(1.0 - overlap, 0.0, 1.0))
 
 
-def _require_qubit_qudit(rho: DensityMatrix) -> None:
-    if len(rho.dims) != 2 or rho.dims[0] != 2:
-        raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
-
-
 def pauli_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]."""
-    _require_qubit_qudit(rho)
+    if len(rho.dims) != 2 or rho.dims[0] != 2:
+        raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
     r = rho.sqrtm
     rs = [r @ embed(s, rho.dims, 0) for s in PAULIS]
     w = np.empty((3, 3))
@@ -92,20 +87,12 @@ def lqu_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
     )
 
 
-def _check_spectrum(spectrum, d: int) -> np.ndarray:
-    lam = np.sort(np.asarray(spectrum, dtype=float).reshape(-1))
-    if lam.size != d:
-        raise DimMismatch(f"spectrum length {lam.size} != measured-subsystem dimension {d}")
-    if lam.size > 1 and np.min(np.diff(lam)) < SPECTRUM_GAP:
-        raise DegenerateSpectrum("spectrum gaps below 1e-9 are not allowed")
-    return lam
-
-
 def lqu_general(
     rho: DensityMatrix,
     spectrum,
-    side: str = "A",
     config: OptimizerConfig | None = None,
+    *,
+    side: str = "A",
 ) -> MeasureResult:
     """LQU for an arbitrary finite spectrum via multi-start descent over unitaries.
 
@@ -119,7 +106,7 @@ def lqu_general(
     if site is None:
         raise DimMismatch(f"side must be 'A' or 'B', got {side!r}")
     d = rho.dims[site]
-    lam = _check_spectrum(spectrum, d)
+    lam = check_spectrum(spectrum, d)
 
     # Quadratic form of the cross term in the local operator:
     # tr[sqrt(rho) (K x I) sqrt(rho) (K x I)] = sum K_ab K_cd T_abcd,

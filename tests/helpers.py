@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from metrocorr.linalg import (
     PAULIS,
@@ -116,3 +117,19 @@ def finite_difference_drho(channel_apply, theta: float, step: float = 1e-5) -> n
     plus = channel_apply(theta + step)
     minus = channel_apply(theta - step)
     return (plus - minus) / (2.0 * step)
+
+
+def s_half_lemma_check(rho: DensityMatrix, o) -> tuple[float, float]:
+    """(min over s in [0, 1] of tr[rho^s O rho^(1-s) O], the value at s = 1/2),
+    on the support of rho, by bounded Brent search plus both endpoints."""
+    e = rho.eig
+    keep = e.eigenvalues > 1e-14
+    v = e.eigenvectors[:, keep]
+    logw = np.log(e.eigenvalues[keep])
+    w = np.abs(v.conj().T @ np.asarray(o) @ v) ** 2
+
+    def f(s: float) -> float:
+        return float(np.exp(s * logw) @ w @ np.exp((1.0 - s) * logw))
+
+    res = minimize_scalar(f, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
+    return min(res.fun, f(0.0), f(1.0)), f(0.5)

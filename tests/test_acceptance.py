@@ -11,12 +11,13 @@ from helpers import (
     grid_minimum,
     qfi_quarter_on_directions,
     random_kraus_set,
+    s_half_lemma_check,
     skew_on_directions,
     uhlmann_fidelity,
 )
 
 from metrocorr.cli import main as cli_main
-from metrocorr.discrimination import chernoff, ds_general, ds_qubit_qudit, s_half_lemma_check
+from metrocorr.discrimination import chernoff, ds_general, ds_qubit_qudit
 from metrocorr.fisher import ip_general, ip_qubit_qudit, qfi
 from metrocorr.linalg import (
     DensityMatrix,

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from metrocorr import OptimizerConfig, ds_general, ip_general, load_state, lqu_general
 from metrocorr.cli import main
-from metrocorr.linalg import Observable
+from metrocorr.linalg import Observable, linear_spectrum, random_density
 from metrocorr.states import make_bell, make_werner, random_cq, save_observable, save_state
 
 
@@ -51,6 +52,27 @@ def test_measure_ip_general_flag(bell_file, capsys):
     out = capsys.readouterr().out
     assert "value 1.000000" in out
     assert "restarts 6" in out
+
+
+@pytest.mark.parametrize("name, search, scale", [
+    ("lqu", lqu_general, 1.0), ("ip", ip_general, 1.0), ("ds", ds_general, np.pi / 4),
+])
+def test_measure_qutrit_probe_runs_optimizer(tmp_path, capsys, name, search, scale):
+    path = tmp_path / "qutrit.json"
+    save_state(random_density((3, 2), 3, np.random.default_rng(21)), path)
+    expect = search(load_state(path), linear_spectrum(3) * scale, OptimizerConfig(restarts=3))
+    code = main(["measure", f"--{name}", "--restarts", "3", str(path)])
+    assert code == (0 if expect.converged else 3)
+    out = capsys.readouterr().out
+    assert f"value {expect.value:.6f}\n" in out
+    assert "restarts 3\n" in out
+
+
+def test_measure_spectrum_runs_optimizer(bell_file, capsys):
+    assert main(["measure", "--lqu", "--spectrum=-0.5,0.5", "--restarts", "3", bell_file]) == 0
+    out = capsys.readouterr().out
+    assert "value 0.250000" in out
+    assert "restarts 3" in out
 
 
 def test_measure_skew_and_qfi(bell_file, tmp_path, capsys):

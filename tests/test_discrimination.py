@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import apply_channel, random_kraus_set, uhlmann_fidelity
+from helpers import apply_channel, random_kraus_set, s_half_lemma_check, uhlmann_fidelity
 
 from metrocorr.discrimination import (
     chernoff,
@@ -10,7 +10,6 @@ from metrocorr.discrimination import (
     ds_pure_harmonic,
     ds_qubit_qudit,
     helstrom_error,
-    s_half_lemma_check,
 )
 from metrocorr.errors import (
     DimensionTooLarge,
@@ -311,7 +310,7 @@ def test_ds_pure_dimension_guard():
 
 def test_ds_pure_harmonic_bell():
     res = ds_pure_harmonic(make_bell(), np.pi)
-    assert abs(res.value - res.info["search_value"]) < 1e-8
+    assert abs(res.value - ds_pure(make_bell(), np.pi * np.arange(2) - np.pi / 2).value) < 1e-8
     assert abs(res.value - 1.0) < 1e-12
 
 
@@ -327,8 +326,7 @@ def test_ds_pure_harmonic_matches_search_d4():
         psi = make_schmidt_pure(np.sort(raw)[::-1], (4, 4))
         omega = rng.uniform(0.2, 2 * np.pi / 4)
         res = ds_pure_harmonic(psi, omega)
-        assert res.info["consistent"], res.info
-        assert abs(res.value - res.info["search_value"]) < 1e-8
+        assert abs(res.value - ds_pure(psi, omega * np.arange(4) - omega * 3 / 2).value) < 1e-8
 
 
 def test_ds_pure_harmonic_range_guard():

@@ -8,6 +8,7 @@ from metrocorr.errors import (
     NotHermitian,
     NotPositive,
     NotUnitTrace,
+    ValidationError,
 )
 from metrocorr.linalg import (
     PAULI_X,
@@ -18,7 +19,6 @@ from metrocorr.linalg import (
     embed,
     haar_unitary,
     linear_spectrum,
-    mat_sqrt,
     partial_trace,
     pure_density,
     random_density,
@@ -52,6 +52,19 @@ def test_validate_density_rejects_non_hermitian():
     m = np.array([[0.5, 0.1], [0.0, 0.5]])
     with pytest.raises(NotHermitian):
         validate_density(m, [2])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_validate_density_rejects_non_finite(value, entry):
+    # set symmetrically, so that only the non-finite value can fail the check
+    m = np.eye(2, dtype=complex) / 2
+    m[entry] = m[entry[::-1]] = value
+    with pytest.raises(ValidationError):
+        validate_density(m, [2])
+    with pytest.raises(ValidationError):
+        DensityMatrix((2,), m).eig
 
 
 def test_validate_density_rejects_bad_trace():
@@ -97,24 +110,24 @@ def test_eig_reconstruction_invariants():
 def test_mat_sqrt_pure_state_is_projector():
     rng = np.random.default_rng(3)
     psi = random_density([4], 1, rng)
-    np.testing.assert_allclose(mat_sqrt(psi), psi.mat, atol=1e-9)
+    np.testing.assert_allclose(psi.sqrtm, psi.mat, atol=1e-9)
 
 
 def test_mat_sqrt_scalar_matrix():
     rho = validate_density(np.eye(2) / 2, [2])
-    np.testing.assert_allclose(mat_sqrt(rho), np.eye(2) / np.sqrt(2), atol=1e-12)
+    np.testing.assert_allclose(rho.sqrtm, np.eye(2) / np.sqrt(2), atol=1e-12)
 
 
 def test_mat_sqrt_diagonal():
     rho = validate_density(np.diag([0.64, 0.36]), [2])
-    np.testing.assert_allclose(mat_sqrt(rho), np.diag([0.8, 0.6]), atol=1e-12)
+    np.testing.assert_allclose(rho.sqrtm, np.diag([0.8, 0.6]), atol=1e-12)
 
 
 def test_mat_sqrt_squares_back():
     rng = np.random.default_rng(11)
     for _ in range(10):
         rho = random_density([2, 2], 3, rng)
-        r = mat_sqrt(rho)
+        r = rho.sqrtm
         assert np.max(np.abs(r @ r - rho.mat)) < 1e-8
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from metrocorr.discrimination import ds_qubit_qudit
 from metrocorr.errors import DegenerateGrid, OutOfRange, TooManyCopies, ZeroInformation
-from metrocorr.linalg import Observable
+from metrocorr.fisher import ip_general
+from metrocorr.linalg import Observable, linear_spectrum, random_density
+from metrocorr.manifold import OptimizerConfig
 from metrocorr.sim import (
     EstimationConfig,
     run_discrimination,
@@ -57,6 +59,14 @@ def test_phase_estimation_worst_case_uses_ip_certificate():
     assert abs(s["interferometric_power"] - 1.0) < 1e-9
     assert s["bound"] == pytest.approx(1.0 / (2000 * 4.0))
     assert abs(s["fisher_information"] - 4.0 * s["interferometric_power"]) < 1e-9
+
+
+def test_phase_estimation_worst_case_qutrit_probe_uses_ip_general():
+    rho = random_density((3, 2), 3, np.random.default_rng(22))
+    cfg = EstimationConfig(state=rho, worst_case=True, theta0=0.1, trials=10, seed=5)
+    s = run_phase_estimation(cfg).summary
+    expect = ip_general(rho, linear_spectrum(3), OptimizerConfig(seed=5))
+    assert s["interferometric_power"] == expect.value
 
 
 def test_phase_estimation_grid_validation():

@@ -17,6 +17,7 @@ from metrocorr.linalg import (
     random_hermitian,
     tensor,
 )
+from metrocorr.manifold import OptimizerConfig
 from metrocorr.states import (
     make_bell,
     make_fig1_state,
@@ -244,6 +245,12 @@ def test_lqu_general_rejects_degenerate_spectrum():
 def test_lqu_general_side_b():
     bell = make_bell()
     res = lqu_general(bell, [-1.0, 1.0], side="B")
+    assert abs(res.value - 1.0) < 1e-6
+
+
+def test_lqu_general_config_is_third_positional():
+    res = lqu_general(make_bell(), [-1, 1], OptimizerConfig(restarts=3))
+    assert res.restarts_used == 3
     assert abs(res.value - 1.0) < 1e-6
 
 
