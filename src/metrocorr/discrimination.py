@@ -23,13 +23,18 @@ from .errors import (
     TooManyCopies,
 )
 from .linalg import DensityMatrix, Observable, check_spectrum, partial_trace, trace_norm
-from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries
+from .manifold import (
+    MeasureResult,
+    OptimizerConfig,
+    dagger,
+    minimize_over_unitaries,
+    unitary_gradient,
+)
 from .uncertainty import lqu_qubit_qudit
 
 SUPPORT_CUTOFF = 1e-14
 MAX_JOINT_DIM = 16384
-GOLDEN_TOL = 1e-8
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+S_TOL = 1e-12
 
 
 @dataclass
@@ -59,25 +64,6 @@ def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> floa
     return float(np.clip(err, 0.0, 0.5))
 
 
-def _golden_min(f, tol: float = GOLDEN_TOL):
-    """Golden-section minimum of a scalar function on [0, 1] (convex input)."""
-    a, b = 0.0, 1.0
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _overlap_data(rho1: DensityMatrix, rho2: DensityMatrix):
     """Support eigenvalue logs of both states and |<i|j>|^2 cross-overlaps."""
     e1, e2 = rho1.eig, rho2.eig
@@ -87,27 +73,51 @@ def _overlap_data(rho1: DensityMatrix, rho2: DensityMatrix):
     return np.log(e1.eigenvalues[m1]), np.log(e2.eigenvalues[m2]), w
 
 
-def _s_overlap_minimum(log1, log2, w, tol: float = GOLDEN_TOL):
+def _s_overlap_minimum(log1, log2, w):
     """Minimize g(s) = sum_ij exp(s log1_i + (1-s) log2_j) w_ij over s in [0, 1].
 
     Flattened as g(s) = c . exp(s d) with d_ij = log1_i - log2_j and
-    c_ij = w_ij exp(log2_j), one vector exponential per evaluation.
+    c_ij = w_ij exp(log2_j).  g is convex, so the minimum sits at an endpoint
+    when g' does not change sign on [0, 1], and otherwise at the root of g',
+    found by Newton steps kept inside the bracket where g' changes sign
+    (bisection when a step would leave it).
     """
     d = (log1[:, None] - log2[None, :]).ravel()
     c = (w * np.exp(log2)[None, :]).ravel()
+    cd = c * d
+    cdd = cd * d
 
-    def g(s: float) -> float:
-        return float(c @ np.exp(s * d))
+    def slopes(s: float):
+        e = np.exp(s * d)
+        return float(cd @ e), float(cdd @ e)
 
-    s_in, g_in = _golden_min(g, tol)
-    candidates = [(0.0, g(0.0)), (s_in, g_in), (1.0, g(1.0))]
-    s_star, val = min(candidates, key=lambda t: t[1])
-    return s_star, val
+    lo, hi = 0.0, 1.0
+    slope_lo, _ = slopes(lo)
+    if slope_lo >= 0.0:
+        return lo, float(np.sum(c))
+    slope_hi, _ = slopes(hi)
+    if slope_hi <= 0.0:
+        return hi, float(c @ np.exp(d))
+    s = slope_lo / (slope_lo - slope_hi)
+    for _ in range(100):
+        slope, curv = slopes(s)
+        if slope < 0.0:
+            lo = s
+        else:
+            hi = s
+        nxt = s - slope / curv if curv > 0.0 else None
+        if nxt is None or not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        done = abs(nxt - s) <= S_TOL
+        s = nxt
+        if done or hi - lo <= S_TOL:
+            break
+    return s, float(c @ np.exp(s * d))
 
 
 def chernoff(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResult:
-    """Chernoff overlap Q = min_{0<=s<=1} tr[rho1^s rho2^(1-s)] by golden-section
-    search (the integrand is convex in s); endpoints use support projectors."""
+    """Chernoff overlap Q = min_{0<=s<=1} tr[rho1^s rho2^(1-s)] by safeguarded
+    Newton search (the integrand is convex in s); endpoints use support projectors."""
     if rho1.dim != rho2.dim:
         raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
     log1, log2, w = _overlap_data(rho1, rho2)
@@ -126,10 +136,12 @@ def ds_general(
     overlap between the state and its rotated copy.
 
     Nested optimization: for each candidate generator H = U diag(spectrum) U^dag
-    on subsystem A, the overlap is minimized over s by golden section; the
-    outer maximization runs on the unitary manifold.  The spectrum is centered
-    (a constant shift only changes a global phase, so the measure is shift
-    invariant by construction).
+    on subsystem A, the overlap is minimized over s by ``_s_overlap_minimum``;
+    the outer maximization runs on the unitary manifold.  By the envelope
+    theorem its gradient is that of g(s*, R) in the local rotation
+    R = U exp(i diag(spectrum)) U^dag at the inner optimum s*.  The spectrum is
+    centered (a constant shift only changes a global phase, so the measure is
+    shift invariant by construction).
     """
     if len(rho.dims) != 2:
         raise DimMismatch(f"bipartite state expected, got dims {rho.dims}")
@@ -139,15 +151,27 @@ def ds_general(
     phases = np.exp(1j * lam_c)
     e = rho.eig
     mask = e.eigenvalues > SUPPORT_CUTOFF
-    v3 = e.eigenvectors[:, mask].reshape(rho.dims[0], rho.dims[1], -1)
+    v = e.eigenvectors[:, mask]
+    rank = v.shape[1]
+    # support eigenvectors with rows split by the A index: (d_A, d_B * rank)
+    v_a = v.reshape(d_a, -1)
     logw = np.log(e.eigenvalues[mask])
 
-    def neg_q(u: np.ndarray) -> float:
-        rot_local = (u * phases) @ u.conj().T
-        cross = np.einsum("ab,aik,bil->kl", rot_local, v3.conj(), v3)
+    def neg_q(u: np.ndarray):
+        # X = V^dag (R x I) V on the support; g(s) = sum_kl w_k^s w_l^(1-s) |X_kl|^2
+        rot_local = (u * phases) @ dagger(u)
+        cross = v.conj().T @ (rot_local @ v_a).reshape(-1, rho.dim, rank)
         overlap = np.abs(cross) ** 2
-        _, q = _s_overlap_minimum(logw, logw, overlap)
-        return -q
+        s_star = np.empty(len(u))
+        q = np.empty(len(u))
+        for r in range(len(u)):
+            s_star[r], q[r] = _s_overlap_minimum(logw, logw, overlap[r])
+        s_col = s_star[:, None, None]
+        weights = np.exp(s_col * logw[:, None] + (1.0 - s_col) * logw)
+        # dg = Re tr(Gamma dR), Gamma = 2 Tr_B[V (weights^T o X^dag) V^dag]
+        y = (weights * cross.conj()).swapaxes(1, 2)
+        gamma = 2.0 * (v @ y).reshape(-1, d_a, v_a.shape[1]) @ v_a.conj().T
+        return -q, unitary_gradient(-gamma, u, phases)
 
     best, u_best, used, converged, values = minimize_over_unitaries(neg_q, d_a, config)
     q_max = float(np.clip(-best, 0.0, 1.0))

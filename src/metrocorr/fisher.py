@@ -26,7 +26,13 @@ from .linalg import (
     embed,
     hermitian_part,
 )
-from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries
+from .manifold import (
+    MeasureResult,
+    OptimizerConfig,
+    dagger,
+    minimize_over_unitaries,
+    unitary_gradient,
+)
 
 PAIR_CUTOFF = 1e-12
 PROB_CUTOFF = 1e-12
@@ -195,14 +201,18 @@ def ip_general(
     lam = check_spectrum(spectrum, d)
     e = rho.eig
     coeff = _qfi_weights(e.eigenvalues)
-    # eigenvectors resolved into (A index, B index, eigenvector label)
-    v3 = e.eigenvectors.reshape(rho.dims[0], rho.dims[1], rho.dim)
+    v, n = e.eigenvectors, rho.dim
+    # eigenvectors with rows split by the A index: (d_A, d_B * n)
+    v_a = v.reshape(d, -1)
 
-    def cost(u: np.ndarray) -> float:
-        # F/4 with F = 2 sum_ij coeff_ij |H_ij|^2 over ordered pairs
-        h_local = (u * lam) @ u.conj().T
-        h_tilde = np.einsum("ab,aik,bil->kl", h_local, v3.conj(), v3)
-        return 0.5 * float(np.sum(coeff * np.abs(h_tilde) ** 2))
+    def cost(u: np.ndarray):
+        # F/4 with F = 2 sum_ij coeff_ij |H_ij|^2 over ordered pairs, where
+        # H~ = V^dag (H x I) V; the gradient is Gamma = Tr_B[V (coeff o H~) V^dag]
+        h_local = (u * lam) @ dagger(u)
+        h_tilde = v.conj().T @ (h_local @ v_a).reshape(-1, n, n)
+        values = 0.5 * np.sum(coeff * np.abs(h_tilde) ** 2, axis=(1, 2))
+        gamma = (v @ (coeff * h_tilde)).reshape(-1, d, v_a.shape[1]) @ v_a.conj().T
+        return values, unitary_gradient(gamma, u, lam)
 
     best, u_best, used, converged, values = minimize_over_unitaries(cost, d, config)
     return MeasureResult(

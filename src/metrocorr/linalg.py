@@ -23,6 +23,7 @@ from .errors import (
     NotUnitary,
     NotUnitTrace,
     OutOfRange,
+    ValidationError,
 )
 
 HERM_ATOL = 1e-10
@@ -264,10 +265,12 @@ def linear_spectrum(d: int) -> np.ndarray:
 
 
 def check_spectrum(spectrum, d: int) -> np.ndarray:
-    """Sort a spectrum of length d, rejecting gaps below SPECTRUM_GAP."""
+    """Sort a finite spectrum of length d, rejecting gaps below SPECTRUM_GAP."""
     lam = np.sort(np.asarray(spectrum, dtype=float).reshape(-1))
     if lam.size != d:
         raise DimMismatch(f"spectrum length {lam.size} != measured-subsystem dimension {d}")
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError(f"spectrum entries must be finite, got {lam}")
     if lam.size > 1 and np.min(np.diff(lam)) < SPECTRUM_GAP:
         raise DegenerateSpectrum("spectrum gaps below 1e-9 are not allowed")
     return lam

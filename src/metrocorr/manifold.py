@@ -1,20 +1,39 @@
-"""Multi-start derivative-free minimization over the special unitary manifold.
+"""Multi-start Riemannian gradient descent over the unitary group U(d).
 
-Candidate unitaries are parametrized as U = exp(iH) with H a traceless
-Hermitian matrix built from d^2 - 1 real coordinates in a generalized
-Gell-Mann basis.  Each restart begins at a Haar-distributed unitary and runs
-a Nelder-Mead simplex followed by a Powell polish, both gradient-free.
+Every optimized measure is an optimum over local operators M = U D U^dag with
+a fixed diagonal D.  A cost callback takes a batch of unitaries U[R, d, d]
+and returns the values f[R] together with the Euclidean gradients G[R, d, d],
+defined by df = Re tr(G^dag dU).  With df = Re tr(Gamma dM) the chain rule
+gives G = Gamma^dag U conj(D) + Gamma U D (``unitary_gradient``).
+
+The Riemannian gradient in the Lie algebra is the skew-Hermitian
+Omega = G U^dag - U G^dag, and a step follows the geodesic U <- exp(-t Omega) U,
+along which df/dt = -|Omega|^2 / 2 at t = 0 (Abrudan, Eriksson & Koivunen,
+IEEE TSP 56, 1134 (2008); Absil, Mahony & Sepulchre, Optimization Algorithms
+on Matrix Manifolds (2008)).  All restarts start from Haar unitaries and run
+as one numpy batch: each iteration evaluates the cost once at every active
+restart's trial point, accepts the trials that pass a nonmonotone Armijo
+test (sufficient decrease below the largest of the restart's last ``MEMORY``
+accepted values; Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 707
+(1986)) and halves the step of the others.  Accepted steps set the next step
+length by the Barzilai-Borwein rule (Raydan, SIAM J. Optim. 7, 26 (1997)).
+A restart stops when both its last change of value and the decrease the
+Barzilai-Borwein model still expects fall below ``value_tol / 1000``, or
+after ``MAXITER`` evaluations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .errors import ConvergenceFailure
 from .linalg import haar_unitary
 
-MAXITER = 2000  # Nelder-Mead iterations per restart
+MAXITER = 400  # batched cost evaluations per call, backtracking trials included
+ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
+MAX_ANGLE = 1.0  # largest rotation |t Omega|_F of one step, in radians
+MEMORY = 10  # accepted values the nonmonotone Armijo test compares against
 
 
 @dataclass
@@ -49,95 +68,80 @@ class MeasureResult:
             self.value = 0.0
 
 
-def gell_mann_basis(d: int) -> np.ndarray:
-    """Traceless Hermitian generators normalized to tr[G_a G_b] = 2 delta_ab."""
-    gens = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            gens.append(sym)
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k] = -1.0j
-            asym[k, j] = 1.0j
-            gens.append(asym)
-    for l in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
-        for m in range(l):
-            diag[m, m] = 1.0
-        diag[l, l] = -l
-        gens.append(diag * np.sqrt(2.0 / (l * (l + 1))))
-    return np.stack(gens)
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes (batched)."""
+    return a.conj().swapaxes(-1, -2)
 
 
-def hermitian_from_coords(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("a,aij->ij", theta, basis)
+def unitary_gradient(gamma: np.ndarray, u: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Euclidean gradient in U of a cost with df = Re tr(gamma dM), M = U diag(D) U^dag."""
+    return dagger(gamma) @ (u * diag.conj()) + gamma @ (u * diag)
 
 
-def unitary_from_coords(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """exp(i H(theta)); the d = 2 case uses the closed Pauli rotation form."""
-    d = basis.shape[1]
-    if d == 2:
-        r = float(np.linalg.norm(theta))
-        if r < 1e-300:
-            return np.eye(2, dtype=complex)
-        h = hermitian_from_coords(theta / r, basis)
-        return np.cos(r) * np.eye(2, dtype=complex) + 1j * np.sin(r) * h
-    h = hermitian_from_coords(theta, basis)
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(a^dag b) per batch entry."""
+    return np.real(np.sum(a.conj() * b, axis=(-2, -1)))
 
 
-def coords_from_unitary(u: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coordinates of a principal logarithm of U (start-point extraction)."""
-    w, v = np.linalg.eig(u)
-    phases = np.angle(w)
-    h = (v * phases) @ np.linalg.inv(v)
-    h = 0.5 * (h + h.conj().T)
-    h -= np.trace(h) / u.shape[0] * np.eye(u.shape[0])
-    return 0.5 * np.real(np.einsum("aij,ji->a", basis, h))
+def _evaluate(cost, u: np.ndarray):
+    """Cost values and Riemannian gradients Omega = G U^dag - U G^dag."""
+    values, grad = cost(u)
+    values = np.asarray(values, dtype=float)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grad))):
+        raise ConvergenceFailure("the cost returned a non-finite value or gradient")
+    return values, grad @ dagger(u) - u @ dagger(grad)
 
 
 def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None):
-    """Multi-start minimization of ``cost(U)`` over d x d unitaries.
+    """Multi-start minimization of a batched ``cost(U) -> (values, gradients)``
+    over d x d unitaries.
 
     Returns (best_value, best_unitary, restarts_used, converged, all_values).
     """
     cfg = config or OptimizerConfig()
-    basis = gell_mann_basis(d)
     rng = np.random.default_rng(cfg.seed)
-
-    def objective(theta):
-        return cost(unitary_from_coords(theta, basis))
-
-    nm_options = {
-        "xatol": 1e-8,
-        "fatol": max(cfg.value_tol * 1e-3, 1e-14),
-        "maxiter": MAXITER,
-        "maxfev": 2 * MAXITER,
-        "adaptive": d > 2,
-    }
-    values = []
-    best_val = np.inf
-    best_x = None
-    for _ in range(max(1, cfg.restarts)):
-        x0 = coords_from_unitary(haar_unitary(d, rng), basis)
-        res = minimize(objective, x0, method="Nelder-Mead", options=nm_options)
-        # polish only candidates competitive with the incumbent optimum
-        if res.fun <= best_val + 1e-4:
-            pol = minimize(
-                objective,
-                res.x,
-                method="Powell",
-                options={"xtol": 1e-10, "ftol": 1e-13, "maxiter": 200},
-            )
-            if pol.fun < res.fun:
-                res = pol
-        values.append(float(res.fun))
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = res.x
-    values_arr = np.array(values)
-    converged = int(np.sum(values_arr <= best_val + cfg.reproduce_tol)) >= 3
-    best_u = unitary_from_coords(best_x, basis)
-    return best_val, best_u, len(values), converged, values_arr
+    n = max(1, cfg.restarts)
+    ftol = cfg.value_tol * 1e-3
+    u = np.stack([haar_unitary(d, rng) for _ in range(n)])
+    f, omega = _evaluate(cost, u)
+    grad_sq = _inner(omega, omega)
+    step = MAX_ANGLE / np.sqrt(np.where(grad_sq > 0.0, grad_sq, 1.0))
+    active = grad_sq > 0.0
+    recent = np.repeat(f[:, None], MEMORY, axis=1)
+    for _ in range(MAXITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        t = step[idx]
+        # exp(-t Omega) from the eigenpairs of the Hermitian i Omega
+        w, v = np.linalg.eigh(1j * omega[idx])
+        rot = (v * np.exp(1j * t[:, None] * w)[:, None, :]) @ dagger(v)
+        u_new = rot @ u[idx]
+        f_new, omega_new = _evaluate(cost, u_new)
+        decrease = f[idx] - f_new
+        ok = recent[idx].max(axis=1) - f_new >= ARMIJO * 0.5 * t * grad_sq[idx]
+        bad = idx[~ok]
+        step[bad] *= 0.5
+        # a rotation below rounding cannot change the cost any more
+        active[bad[step[bad] * np.sqrt(grad_sq[bad]) < 1e-15]] = False
+        acc = idx[ok]
+        if acc.size == 0:
+            continue
+        # Barzilai-Borwein: for the step s = -t Omega and the change y of
+        # Omega, the next step length is <s, s> / <s, y>
+        t, decrease = t[ok], decrease[ok]
+        y = omega_new[ok] - omega[acc]
+        sy = t * -_inner(omega[acc], y)
+        ss = t * t * grad_sq[acc]
+        u[acc], f[acc], omega[acc] = u_new[ok], f_new[ok], omega_new[ok]
+        recent[acc] = np.column_stack([f[acc], recent[acc, :-1]])
+        grad_sq[acc] = _inner(omega[acc], omega[acc])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cap = MAX_ANGLE / np.sqrt(grad_sq[acc])
+            bb = np.where(sy > 0.0, ss / sy, cap)
+        step[acc] = np.minimum(bb, cap)
+        done = (np.abs(decrease) <= ftol) & (0.5 * step[acc] * grad_sq[acc] <= ftol)
+        active[acc[done | (grad_sq[acc] == 0.0)]] = False
+    best = int(np.argmin(f))
+    converged = int(np.sum(f <= f[best] + cfg.reproduce_tol)) >= 3
+    return float(f[best]), u[best], n, converged, f

@@ -20,7 +20,13 @@ from .linalg import (
     embed,
     partial_trace,
 )
-from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries
+from .manifold import (
+    MeasureResult,
+    OptimizerConfig,
+    dagger,
+    minimize_over_unitaries,
+    unitary_gradient,
+)
 
 
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,7 +104,8 @@ def lqu_general(
 
     The observable is K = U diag(spectrum) U^dag embedded on the measured side;
     the minimum of the skew information over U is located by the shared
-    manifold optimizer (closed forms exist only for a qubit probe).
+    manifold optimizer (closed forms exist only for a qubit probe), with the
+    gradient Gamma = rho_A K + K rho_A - 2 Tr_B[sqrt(rho) (K x I) sqrt(rho)].
     """
     if len(rho.dims) != 2:
         raise DimMismatch(f"bipartite state expected, got dims {rho.dims}")
@@ -108,22 +115,27 @@ def lqu_general(
     d = rho.dims[site]
     lam = check_spectrum(spectrum, d)
 
-    # Quadratic form of the cross term in the local operator:
-    # tr[sqrt(rho) (K x I) sqrt(rho) (K x I)] = sum K_ab K_cd T_abcd,
-    # with T precomputed once from the reshaped matrix square root.
+    # Cross term tr[sqrt(rho) (K x I) sqrt(rho) (K x I)] = sum K_ab K_cd T_abcd,
+    # with T precomputed once from the reshaped matrix square root.  T is
+    # symmetric under (ab) <-> (cd), so the term changes by 2 tr[C dK] with
+    # C = Tr_B[sqrt(rho) (K x I) sqrt(rho)], C_ba = sum_cd T_abcd K_cd.
     shape = rho.dims + rho.dims
     r4 = rho.sqrtm.reshape(shape)
     if site == 0:
         t_cross = np.einsum("djai,bicj->abcd", r4, r4)
     else:
         t_cross = np.einsum("idja,jbic->abcd", r4, r4)
+    t_cross = t_cross.reshape(d * d, d * d)
     rho_local = partial_trace(rho, site).mat
 
-    def cost(u: np.ndarray) -> float:
-        k_local = (u * lam) @ u.conj().T
-        second = np.real(np.sum(rho_local * (k_local @ k_local).T))
-        cross = np.real(np.einsum("ab,cd,abcd->", k_local, k_local, t_cross))
-        return float(second - cross)
+    def cost(u: np.ndarray):
+        k_local = (u * lam) @ dagger(u)
+        ct = (k_local.reshape(-1, d * d) @ t_cross).reshape(k_local.shape)
+        second = np.real(np.sum(rho_local.T * (k_local @ k_local), axis=(1, 2)))
+        cross = np.real(np.sum(k_local * ct, axis=(1, 2)))
+        rk = rho_local @ k_local
+        gamma = rk + dagger(rk) - 2.0 * ct.swapaxes(1, 2)
+        return second - cross, unitary_gradient(gamma, u, lam)
 
     best, u_best, used, converged, values = minimize_over_unitaries(cost, d, config)
     return MeasureResult(

@@ -133,3 +133,15 @@ def s_half_lemma_check(rho: DensityMatrix, o) -> tuple[float, float]:
 
     res = minimize_scalar(f, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
     return min(res.fun, f(0.0), f(1.0)), f(0.5)
+
+
+def brent_overlap_minimum(log1, log2, w) -> tuple[float, float]:
+    """(s, value) minimizing g(s) = sum_ij exp(s log1_i + (1-s) log2_j) w_ij
+    over [0, 1] by bounded Brent search plus both endpoints."""
+
+    def g(s: float) -> float:
+        return float(np.exp(s * log1) @ w @ np.exp((1.0 - s) * log2))
+
+    res = minimize_scalar(g, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
+    candidates = [(0.0, g(0.0)), (float(res.x), float(res.fun)), (1.0, g(1.0))]
+    return min(candidates, key=lambda p: p[1])

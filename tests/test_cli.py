@@ -75,6 +75,11 @@ def test_measure_spectrum_runs_optimizer(bell_file, capsys):
     assert "restarts 3" in out
 
 
+def test_measure_non_finite_spectrum_exits_2(bell_file, capsys):
+    assert main(["measure", "--lqu", "--spectrum", "nan,1", bell_file]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_measure_skew_and_qfi(bell_file, tmp_path, capsys):
     obs_path = tmp_path / "sz.json"
     save_observable(Observable.pauli([0, 0, 1.0]), obs_path)

@@ -15,6 +15,7 @@ from metrocorr.linalg import (
     PAULI_Z,
     DensityMatrix,
     Observable,
+    check_spectrum,
     eig_hermitian,
     embed,
     haar_unitary,
@@ -267,6 +268,14 @@ def test_observable_rejects_degenerate_spectrum():
     skew = np.array([[1.0, 0.1], [0.0, 1.0]])
     with pytest.raises(NotUnitary):
         Observable(np.array([-1.0, 1.0]), skew)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_spectrum_rejects_non_finite(bad):
+    with pytest.raises(ValidationError):
+        check_spectrum([bad, 1.0], 2)
+    with pytest.raises(ValidationError):
+        Observable(np.array([bad, 1.0]), np.eye(2))
 
 
 def test_observable_pauli_direction():

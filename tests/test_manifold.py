@@ -1,0 +1,185 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import brent_overlap_minimum
+
+import metrocorr
+from metrocorr import discrimination, fisher, uncertainty
+from metrocorr.discrimination import _overlap_data, _s_overlap_minimum
+from metrocorr.errors import ConvergenceFailure
+from metrocorr.linalg import haar_unitary, random_density, random_hermitian
+from metrocorr.manifold import OptimizerConfig, minimize_over_unitaries
+
+LAMBDAS = {"pi/4": np.pi / 4, "pi/2": np.pi / 2}
+COSTS = ["lqu-A", "lqu-B", "ip", "ds-pi/4", "ds-pi/2"]
+
+
+def _capture_cost(monkeypatch, case):
+    """The batched cost closure that a *_general call hands to the optimizer."""
+    captured = {}
+
+    def grab(cost, d, config=None):
+        captured["cost"], captured["d"] = cost, d
+        return minimize_over_unitaries(cost, d, OptimizerConfig(restarts=1))
+
+    for module in (uncertainty, fisher, discrimination):
+        monkeypatch.setattr(module, "minimize_over_unitaries", grab)
+    rho = random_density((3, 2), 6, np.random.default_rng(21))
+    spectrum = np.array([-1.0, 0.3, 1.0])
+    if case == "lqu-A":
+        uncertainty.lqu_general(rho, spectrum)
+    elif case == "lqu-B":
+        uncertainty.lqu_general(rho, [-1.0, 1.0], side="B")
+    elif case == "ip":
+        fisher.ip_general(rho, spectrum)
+    else:
+        discrimination.ds_general(rho, spectrum * LAMBDAS[case.split("-")[1]])
+    return captured["cost"], captured["d"]
+
+
+@pytest.mark.parametrize("case", COSTS)
+def test_cost_gradient_matches_finite_difference(monkeypatch, case):
+    cost, d = _capture_cost(monkeypatch, case)
+    rng = np.random.default_rng(22)
+    u = np.stack([haar_unitary(d, rng) for _ in range(4)])
+    # a random skew-Hermitian direction Omega = i X; U(t) = exp(t Omega) U
+    w, v = np.linalg.eigh(random_hermitian(d, rng))
+
+    def moved(t):
+        return (v * np.exp(1j * t * w)) @ v.conj().T @ u
+
+    values, grad = cost(u)
+    assert values.shape == (4,) and grad.shape == (4, d, d)
+    analytic = np.real(np.sum(grad.conj() * (1j * (v * w) @ v.conj().T @ u), axis=(1, 2)))
+    h = 1e-5
+    numeric = (cost(moved(h))[0] - cost(moved(-h))[0]) / (2.0 * h)
+    np.testing.assert_allclose(analytic, numeric, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("case", ["lqu-A", "ip", "ds-pi/2"])
+def test_single_restart_returns_unitary(monkeypatch, case):
+    cost, d = _capture_cost(monkeypatch, case)
+    best, u, used, converged, values = minimize_over_unitaries(cost, d, OptimizerConfig(restarts=1))
+    assert used == 1 and not converged
+    assert values.shape == (1,) and values[0] == best
+    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-12
+    assert abs(cost(u[None])[0][0] - best) < 1e-12
+
+
+def test_restarts_start_from_haar_sequence():
+    # a cost with zero gradient leaves every restart at its Haar start
+    starts = []
+
+    def flat(u):
+        starts.extend(u.copy())
+        return np.zeros(len(u)), np.zeros_like(u)
+
+    config = OptimizerConfig(restarts=4, seed=9)
+    best, u, used, converged, values = minimize_over_unitaries(flat, 3, config)
+    rng = np.random.default_rng(9)
+    expect = [haar_unitary(3, rng) for _ in range(4)]
+    assert len(starts) == 4 and converged and used == 4 and best == 0.0
+    for got, want in zip(starts, expect):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(u, expect[0])
+
+
+@pytest.mark.parametrize(
+    "bad_value, bad_gradient",
+    [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan)],
+)
+def test_non_finite_cost_raises_convergence_failure(bad_value, bad_gradient):
+    def cost(u):
+        values = np.real(u[:, 0, 0])
+        values[-1] += bad_value
+        grad = np.ones_like(u)
+        grad[-1, 0, 0] += bad_gradient
+        return values, grad
+
+    with pytest.raises(ConvergenceFailure):
+        minimize_over_unitaries(cost, 2, OptimizerConfig(restarts=3))
+
+
+# ---------------------------------------------------------------------------
+# Chernoff s-search
+
+
+def _assert_matches_brent(log1, log2, w, interior_s=True):
+    s, value = _s_overlap_minimum(log1, log2, w)
+    s_ref, value_ref = brent_overlap_minimum(log1, log2, w)
+    assert 0.0 <= s <= 1.0
+    assert abs(value - value_ref) < 1e-12
+    assert value <= value_ref + 1e-15
+    g_at_s = float(np.exp(s * log1) @ w @ np.exp((1.0 - s) * log2))
+    assert abs(g_at_s - value) < 1e-14
+    if interior_s:
+        assert abs(s - s_ref) < 1e-6
+    return s
+
+
+def test_s_search_matches_brent_on_random_pairs():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        dims = (2, int(rng.integers(2, 4)))
+        a = random_density(dims, int(rng.integers(2, 2 * dims[1] + 1)), rng)
+        b = random_density(dims, int(rng.integers(2, 2 * dims[1] + 1)), rng)
+        log1, log2, w = _overlap_data(a, b)
+        _assert_matches_brent(log1, log2, w)
+
+
+def test_s_search_pure_first_state():
+    rng = np.random.default_rng(25)
+    for _ in range(10):
+        psi = random_density((2, 2), 1, rng)
+        rho = random_density((2, 2), int(rng.integers(1, 5)), rng)
+        log1, log2, w = _overlap_data(psi, rho)
+        # g(s) = sum_j b_j^(1-s) |<psi|j>|^2 does not decrease in s: its
+        # minimum is <psi|rho|psi>, at s = 0 (anywhere when rho is pure too)
+        s, value = _s_overlap_minimum(log1, log2, w)
+        vec = psi.eig.eigenvectors[:, -1]
+        assert abs(value - float(np.real(vec.conj() @ rho.mat @ vec))) < 1e-12
+        _assert_matches_brent(log1, log2, w, interior_s=False)
+
+
+def test_s_search_flat_overlap_of_commuting_states():
+    rng = np.random.default_rng(26)
+    p = rng.dirichlet(np.ones(3))
+    logp = np.log(p)
+    # identical diagonal states: g(s) = sum_i p_i^s p_i^(1-s) = 1 for every s
+    s, value = _s_overlap_minimum(logp, logp, np.eye(3))
+    assert abs(value - 1.0) < 1e-12
+    _assert_matches_brent(logp, logp, np.eye(3), interior_s=False)
+
+
+def test_s_search_minimum_at_endpoints():
+    p = np.array([0.7, 0.3])
+    # a pure state inside a mixed support: g(s) = 0.7^(1-s), minimal at s = 0
+    s, value = _s_overlap_minimum(np.array([0.0]), np.log(p), np.array([[1.0, 0.0]]))
+    assert s == 0.0 and abs(value - 0.7) < 1e-15
+    _assert_matches_brent(np.array([0.0]), np.log(p), np.array([[1.0, 0.0]]), interior_s=False)
+    # the mirrored pair: g(s) = 0.7^s, minimal at s = 1
+    s, value = _s_overlap_minimum(np.log(p), np.array([0.0]), np.array([[1.0], [0.0]]))
+    assert s == 1.0 and abs(value - 0.7) < 1e-15
+    _assert_matches_brent(np.log(p), np.array([0.0]), np.array([[1.0], [0.0]]), interior_s=False)
+
+
+# ---------------------------------------------------------------------------
+# packaging
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(metrocorr.__file__).resolve().parents[1]
+    code = "import sys, metrocorr.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import apply_channel, random_kraus_set
 
-from metrocorr.errors import DegenerateSpectrum, DimMismatch
+from metrocorr.errors import DegenerateSpectrum, DimMismatch, ValidationError
 from metrocorr.linalg import (
     PAULI_Z,
     DensityMatrix,
@@ -22,6 +22,7 @@ from metrocorr.states import (
     make_bell,
     make_fig1_state,
     make_schmidt_pure,
+    make_werner,
     random_cq,
 )
 from metrocorr.uncertainty import (
@@ -240,6 +241,12 @@ def test_lqu_general_qutrit_cq_zero():
 def test_lqu_general_rejects_degenerate_spectrum():
     with pytest.raises(DegenerateSpectrum):
         lqu_general(make_bell(), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_lqu_general_rejects_non_finite_spectrum(bad):
+    with pytest.raises(ValidationError):
+        lqu_general(make_werner(0.5), [bad, 1.0], OptimizerConfig(restarts=1))
 
 
 def test_lqu_general_side_b():
