@@ -22,7 +22,15 @@ from .errors import (
     OutOfRange,
     TooManyCopies,
 )
-from .linalg import DensityMatrix, Observable, check_spectrum, partial_trace, trace_norm
+from .linalg import (
+    DensityMatrix,
+    Observable,
+    apply_local,
+    check_spectrum,
+    partial_trace,
+    spin_eig,
+    trace_norm,
+)
 from .manifold import (
     MeasureResult,
     OptimizerConfig,
@@ -30,10 +38,10 @@ from .manifold import (
     minimize_over_unitaries,
     unitary_gradient,
 )
-from .uncertainty import lqu_qubit_qudit
+from .uncertainty import pauli_correlation_matrix
 
 SUPPORT_CUTOFF = 1e-14
-MAX_JOINT_DIM = 16384
+MAX_JOINT_DIM = 4096
 S_TOL = 1e-12
 
 
@@ -152,7 +160,6 @@ def ds_general(
     e = rho.eig
     mask = e.eigenvalues > SUPPORT_CUTOFF
     v = e.eigenvectors[:, mask]
-    rank = v.shape[1]
     # support eigenvectors with rows split by the A index: (d_A, d_B * rank)
     v_a = v.reshape(d_a, -1)
     logw = np.log(e.eigenvalues[mask])
@@ -160,7 +167,7 @@ def ds_general(
     def neg_q(u: np.ndarray):
         # X = V^dag (R x I) V on the support; g(s) = sum_kl w_k^s w_l^(1-s) |X_kl|^2
         rot_local = (u * phases) @ dagger(u)
-        cross = v.conj().T @ (rot_local @ v_a).reshape(-1, rho.dim, rank)
+        cross = v.conj().T @ apply_local(rot_local, v)
         overlap = np.abs(cross) ** 2
         s_star = np.empty(len(u))
         q = np.empty(len(u))
@@ -243,15 +250,17 @@ def ds_pure_harmonic(psi: DensityMatrix, omega: float) -> MeasureResult:
 
 def ds_qubit_qudit(rho: DensityMatrix, lam: float) -> MeasureResult:
     """Discriminating strength of a qubit-qudit state for spectrum {-lam, lam}:
-    the unit-spectrum LQU times sin^2(lam), along the same direction."""
+    the unit-spectrum LQU 1 - lambda_max(W) times sin^2(lam), along the LQU
+    direction (the top eigenvector of the Pauli correlation matrix W)."""
     if not 0.0 < lam <= np.pi / 2.0:
         raise OutOfRange(f"spectral half-width must lie in (0, pi/2], got {lam}")
-    lqu = lqu_qubit_qudit(rho)
-    unit_lqu = max(lqu.value, 0.0)
+    evals, evecs = np.linalg.eigh(pauli_correlation_matrix(rho))
+    direction = evecs[:, -1]
+    unit_lqu = max(1.0 - float(evals[-1]), 0.0)
     return MeasureResult(
         value=unit_lqu * math.sin(lam) ** 2,
-        certificate=Observable(np.array([-lam, lam]), lqu.certificate.basis_unitary),
+        certificate=Observable(np.array([-lam, lam]), spin_eig(direction).eigenvectors),
         restarts_used=0,
         converged=True,
-        info={"unit_lqu": unit_lqu, "direction": lqu.info["direction"]},
+        info={"unit_lqu": unit_lqu, "direction": direction},
     )

@@ -7,7 +7,9 @@ The quantum Fisher information is computed from the state eigendecomposition,
 
 skipping eigenvalue pairs whose sum is numerically zero.  The interferometric
 power is min over local generators of F/4; for a qubit probe it reduces to the
-smallest eigenvalue of a 3x3 quadratic form.
+smallest eigenvalue of a 3x3 quadratic form, built from the Paulis in the
+state eigenbasis by ``apply_local`` (no Kronecker product), the kernel the
+optimizer cost uses for a general generator.
 """
 from __future__ import annotations
 
@@ -15,11 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, SingularOutcome, ValidationError, ZeroInformation
+from .errors import (
+    DimMismatch,
+    OutOfRange,
+    SingularOutcome,
+    ValidationError,
+    ZeroInformation,
+)
 from .linalg import (
     PAULIS,
     DensityMatrix,
     Observable,
+    apply_local,
     as_matrix,
     check_operator,
     check_spectrum,
@@ -139,8 +148,8 @@ def _qfi_weights(w: np.ndarray) -> np.ndarray:
     numerically zero."""
     s = w[:, None] + w[None, :]
     diff = w[:, None] - w[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s > PAIR_CUTOFF, diff * diff / np.where(s > PAIR_CUTOFF, s, 1.0), 0.0)
+    kept = s > PAIR_CUTOFF
+    return np.where(kept, diff * diff / np.where(kept, s, 1.0), 0.0)
 
 
 def qfi(rho: DensityMatrix, h) -> float:
@@ -155,20 +164,25 @@ def qfi(rho: DensityMatrix, h) -> float:
 def cramer_rao(fisher_value: float, n: int = 1) -> float:
     """Lower bound 1/(n F) on the variance of any unbiased estimator."""
     if n < 1:
-        raise DimMismatch(f"repetition count must be >= 1, got {n}")
+        raise OutOfRange(f"repetition count must be >= 1, got {n}")
     if fisher_value <= 0.0:
         raise ZeroInformation("Fisher information must be positive")
     return 1.0 / (n * fisher_value)
 
 
 def quadratic_form_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix M with n.M.n = F(rho, (n.sigma) x I)/4, from the state spectrum."""
+    """3x3 matrix M with n.M.n = F(rho, (n.sigma) x I)/4, from the state spectrum.
+
+    M_mn = (1/2) sum_kl coeff_kl A^m_kl conj(A^n_kl) with
+    A^m = V^dag (sigma_m x I) V = ((sigma_m x I) V)^dag V, where the product
+    (sigma_m x I) V comes from ``apply_local`` (no Kronecker product).
+    """
     if len(rho.dims) != 2 or rho.dims[0] != 2:
         raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
     e = rho.eig
     v = e.eigenvectors
     coeff = _qfi_weights(e.eigenvalues)
-    a = np.stack([v.conj().T @ embed(p, rho.dims, 0) @ v for p in PAULIS])
+    a = np.ascontiguousarray(apply_local(PAULIS, v).conj().swapaxes(1, 2)) @ v
     m = 0.5 * np.einsum("ij,mij,nij->mn", coeff, a, a.conj())
     return np.real(hermitian_part(m))
 
@@ -201,15 +215,15 @@ def ip_general(
     lam = check_spectrum(spectrum, d)
     e = rho.eig
     coeff = _qfi_weights(e.eigenvalues)
-    v, n = e.eigenvectors, rho.dim
-    # eigenvectors with rows split by the A index: (d_A, d_B * n)
+    v = e.eigenvectors
+    # eigenvectors with rows split by the A index: (d_A, d_B * rho.dim)
     v_a = v.reshape(d, -1)
 
     def cost(u: np.ndarray):
         # F/4 with F = 2 sum_ij coeff_ij |H_ij|^2 over ordered pairs, where
         # H~ = V^dag (H x I) V; the gradient is Gamma = Tr_B[V (coeff o H~) V^dag]
         h_local = (u * lam) @ dagger(u)
-        h_tilde = v.conj().T @ (h_local @ v_a).reshape(-1, n, n)
+        h_tilde = v.conj().T @ apply_local(h_local, v)
         values = 0.5 * np.sum(coeff * np.abs(h_tilde) ** 2, axis=(1, 2))
         gamma = (v @ (coeff * h_tilde)).reshape(-1, d, v_a.shape[1]) @ v_a.conj().T
         return values, unitary_gradient(gamma, u, lam)

@@ -192,6 +192,18 @@ def embed(op, dims: Sequence[int], site: int) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
+def apply_local(ops, m: np.ndarray) -> np.ndarray:
+    """(O x I) M for a stack of subsystem-A operators O[k, d_A, d_A] and a
+    matrix M whose rows carry the A-major joint index; shape (k, *M.shape).
+
+    No Kronecker product is formed: O acts on M with its rows split by the A
+    index.  For a Pauli O each entry is one exact product, so the result is
+    bit-for-bit the one a dense (O x I) @ M gives.
+    """
+    ops = np.asarray(ops)
+    return (ops @ m.reshape(ops.shape[-1], -1)).reshape(-1, *m.shape)
+
+
 def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     dims = list(dims)
     n = len(dims)
@@ -322,8 +334,15 @@ class Observable:
     @classmethod
     def pauli(cls, direction) -> "Observable":
         """Spin observable n . sigma with unit spectrum {-1, +1}."""
-        n = np.asarray(direction, dtype=float).reshape(3)
-        norm = np.linalg.norm(n)
-        if norm == 0:
-            raise OutOfRange("direction must be a nonzero 3-vector")
-        return cls.from_matrix(pauli_vector(n / norm))
+        e = spin_eig(direction)
+        return cls(e.eigenvalues, e.eigenvectors)
+
+
+def spin_eig(direction) -> EigDecomposition:
+    """Eigendecomposition of n . sigma for the normalized 3-vector n; its
+    eigenvectors are the basis of ``Observable.pauli(n)``."""
+    n = np.asarray(direction, dtype=float).reshape(3)
+    norm = np.linalg.norm(n)
+    if norm == 0:
+        raise OutOfRange("direction must be a nonzero 3-vector")
+    return eig_hermitian(pauli_vector(n / norm))

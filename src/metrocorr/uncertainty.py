@@ -4,7 +4,10 @@ The skew information I(rho, O) = tr[rho O^2] - tr[sqrt(rho) O sqrt(rho) O]
 isolates the genuinely quantum part of the measurement variance: it vanishes
 exactly when the state and the observable commute and equals the variance on
 pure states.  The LQU is its minimum over local observables with a fixed
-non-degenerate spectrum, a discord-like correlation measure.
+non-degenerate spectrum, a discord-like correlation measure.  For a qubit
+probe with unit spectrum it is 1 - lambda_max(W), W the 3x3 Pauli correlation
+matrix of sqrt(rho), contracted without any Kronecker product; other cases
+run the manifold optimizer.
 """
 from __future__ import annotations
 
@@ -15,9 +18,9 @@ from .linalg import (
     PAULIS,
     DensityMatrix,
     Observable,
+    apply_local,
     check_operator,
     check_spectrum,
-    embed,
     partial_trace,
 )
 from .manifold import (
@@ -64,16 +67,25 @@ def hellinger_sq(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(1.0 - overlap, 0.0, 1.0))
 
 
+# Pauli index pairs (i, j), i <= j, of the symmetric correlation matrix
+_PAIRS = np.triu_indices(3)
+
+
 def pauli_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]."""
+    """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)].
+
+    With R = sqrt(rho) and E_i = sigma_i x I, each entry is Re tr[Q_i Q_j] for
+    Q_i = E_i R from ``apply_local`` (no Kronecker product).  The products are
+    summed in the transposed layout, the one of the dense sum
+    sum((R E_i) * (R E_j)^T), so W equals the dense result bit for bit.
+    """
     if len(rho.dims) != 2 or rho.dims[0] != 2:
         raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
-    r = rho.sqrtm
-    rs = [r @ embed(s, rho.dims, 0) for s in PAULIS]
+    q_t = np.ascontiguousarray(apply_local(PAULIS, rho.sqrtm).swapaxes(1, 2))
+    i, j = _PAIRS
+    traces = np.real(np.sum(q_t[i] * q_t[j].swapaxes(1, 2), axis=(1, 2)))
     w = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            w[i, j] = w[j, i] = np.real(np.sum(rs[i] * rs[j].T))
+    w[i, j] = w[j, i] = traces
     return w
 
 

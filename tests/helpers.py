@@ -30,9 +30,16 @@ def _directions_to_ops(directions: np.ndarray, dims) -> np.ndarray:
 
 def skew_on_directions(rho: DensityMatrix, directions: np.ndarray) -> np.ndarray:
     """Skew information of (n.sigma) x I for every direction, from the raw
-    definition tr[rho K^2] - tr[sqrt(rho) K sqrt(rho) K]."""
+    definition tr[rho K^2] - tr[sqrt(rho) K sqrt(rho) K].
+
+    Eigenvalues at solver-noise level are dropped before the square root: a
+    rank-deficient state's null eigenvalues come out of the solver as +-1e-17,
+    whose square roots would shift the skew information by 1e-8.
+    """
     k = _directions_to_ops(directions, rho.dims)
-    r = psd_sqrt(rho.mat)
+    w, v = np.linalg.eigh(rho.mat)
+    w = np.where(w > 1e-13, w, 0.0)
+    r = (v * np.sqrt(w)) @ v.conj().T
     rk = np.einsum("ab,gbc->gac", r, k)
     cross = np.real(np.einsum("gab,gba->g", rk, rk))
     pk = np.einsum("ab,gbc->gac", rho.mat, k)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import apply_channel, random_kraus_set, s_half_lemma_check, uhlmann_fidelity
 
+from metrocorr import sim
 from metrocorr.discrimination import (
     chernoff,
     ds_general,
@@ -79,6 +82,44 @@ def test_helstrom_copy_guard():
     rho = random_density([2, 2], 4, rng)
     with pytest.raises(TooManyCopies):
         helstrom_error(rho, rho, 8)
+
+
+def _no_large_allocation(monkeypatch, call):
+    """Run ``call`` expecting TooManyCopies with no Kronecker power formed and
+    under 1 MB allocated on the way."""
+    def no_kron(*args):
+        raise AssertionError("Kronecker product formed before the copy guard")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyCopies):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_helstrom_copy_guard_two_qubits_seven_copies(monkeypatch):
+    # side 4^7 = 16384: a 4.3 GB dense matrix; 4^6 = 4096 is the largest side allowed
+    rng = np.random.default_rng(3)
+    rho = random_density([2, 2], 4, rng)
+    sigma = random_density([2, 2], 4, rng)
+    _no_large_allocation(monkeypatch, lambda: helstrom_error(rho, sigma, 7))
+
+
+def test_run_discrimination_copy_guard_two_qutrits(monkeypatch):
+    # side 9^4 = 6561; the guard must fire before the DS search runs
+    rho = random_density([3, 3], 9, np.random.default_rng(4))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("DS search ran before the copy guard")
+
+    monkeypatch.setattr(sim, "ds_general", no_search)
+    _no_large_allocation(
+        monkeypatch, lambda: sim.run_discrimination(rho, [-1.0, 0.0, 1.0], n_max=4)
+    )
 
 
 def test_helstrom_dim_mismatch():

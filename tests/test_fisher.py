@@ -3,7 +3,13 @@ import pytest
 
 from helpers import apply_channel, finite_difference_drho, random_kraus_set, random_povm
 
-from metrocorr.errors import DimMismatch, SingularOutcome, ValidationError, ZeroInformation
+from metrocorr.errors import (
+    DimMismatch,
+    OutOfRange,
+    SingularOutcome,
+    ValidationError,
+    ZeroInformation,
+)
 from metrocorr.fisher import (
     PhaseChannel,
     Povm,
@@ -223,6 +229,11 @@ def test_cramer_rao_arithmetic():
     assert cramer_rao(4.0, 100) == 0.0025
     with pytest.raises(ZeroInformation):
         cramer_rao(0.0, 1)
+
+
+def test_cramer_rao_zero_repetitions_is_out_of_range():
+    with pytest.raises(OutOfRange):
+        cramer_rao(4.0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from metrocorr.errors import (
 )
 from metrocorr.linalg import (
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     DensityMatrix,
     Observable,
+    apply_local,
     check_spectrum,
     eig_hermitian,
     embed,
@@ -23,6 +25,7 @@ from metrocorr.linalg import (
     partial_trace,
     pure_density,
     random_density,
+    random_hermitian,
     tensor,
     trace_norm,
     validate_density,
@@ -252,6 +255,30 @@ def test_embed_matches_kron():
     np.testing.assert_allclose(embed(PAULI_Z, (3, 2), 1), tensor(np.eye(3), PAULI_Z), atol=0)
     with pytest.raises(DimMismatch):
         embed(PAULI_Z, (3, 2), 0)
+
+
+def _complex_matrix(rows, cols, rng):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("d_b", [1, 3])
+def test_apply_local_paulis_bit_for_bit(d_b):
+    # one exact product per entry: bit for bit the dense (sigma x I) @ M
+    dims = (2, d_b)
+    m = _complex_matrix(2 * d_b, 2 * d_b, np.random.default_rng(d_b))
+    paulis = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+    dense = np.stack([embed(p, dims, 0) @ m for p in paulis])
+    np.testing.assert_array_equal(apply_local(paulis, m), dense)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_apply_local_matches_embedded_product(dims):
+    rng = np.random.default_rng(sum(dims))
+    d = dims[0] * dims[1]
+    m = _complex_matrix(d, d - 1, rng)
+    ops = np.stack([random_hermitian(dims[0], rng) for _ in range(4)])
+    dense = np.stack([embed(o, dims, 0) @ m for o in ops])
+    np.testing.assert_allclose(apply_local(ops, m), dense, rtol=0, atol=1e-14)
 
 
 def test_observable_sorts_and_validates():
