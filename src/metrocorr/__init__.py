@@ -51,7 +51,6 @@ from .sim import (
     sweep_states,
 )
 from .states import (
-    build_state,
     load_observable,
     load_state,
     make_bell,
@@ -87,7 +86,6 @@ __all__ = [
     "PhaseChannel",
     "Povm",
     "SweepTable",
-    "build_state",
     "chernoff",
     "classical_fisher",
     "classical_uncertainty",

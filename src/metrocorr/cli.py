@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid", help="lo:hi:points")
     p_sim.add_argument("--spectrum")
     p_sim.add_argument("--lambda", dest="ds_lambda", type=float, default=np.pi / 4)
-    p_sim.add_argument("--copies", type=int, default=5)
+    p_sim.add_argument("--copies", type=int, help="default: largest n <= 5 the copy guard allows")
     p_sim.add_argument("--restarts", type=int, default=16)
     p_sim.add_argument("--tol", type=float, default=1e-9)
     p_sim.add_argument("--seed", type=int, default=0)

@@ -40,7 +40,6 @@ from .manifold import (
 )
 from .uncertainty import pauli_correlation_matrix
 
-SUPPORT_CUTOFF = 1e-14
 MAX_JOINT_DIM = 4096
 S_TOL = 1e-12
 
@@ -75,8 +74,8 @@ def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> floa
 def _overlap_data(rho1: DensityMatrix, rho2: DensityMatrix):
     """Support eigenvalue logs of both states and |<i|j>|^2 cross-overlaps."""
     e1, e2 = rho1.eig, rho2.eig
-    m1 = e1.eigenvalues > SUPPORT_CUTOFF
-    m2 = e2.eigenvalues > SUPPORT_CUTOFF
+    m1 = e1.eigenvalues > 0.0
+    m2 = e2.eigenvalues > 0.0
     w = np.abs(e1.eigenvectors[:, m1].conj().T @ e2.eigenvectors[:, m2]) ** 2
     return np.log(e1.eigenvalues[m1]), np.log(e2.eigenvalues[m2]), w
 
@@ -158,7 +157,7 @@ def ds_general(
     lam_c = lam - np.mean(lam)
     phases = np.exp(1j * lam_c)
     e = rho.eig
-    mask = e.eigenvalues > SUPPORT_CUTOFF
+    mask = e.eigenvalues > 0.0
     v = e.eigenvectors[:, mask]
     # support eigenvectors with rows split by the A index: (d_A, d_B * rank)
     v_a = v.reshape(d_a, -1)
@@ -199,7 +198,7 @@ def _schmidt_probs(psi: DensityMatrix) -> np.ndarray:
     if not psi.is_pure():
         raise NotPure(f"purity {psi.purity():.6f} differs from 1 beyond 1e-9")
     red = partial_trace(psi, 0)
-    probs = np.sort(np.maximum(red.eig.eigenvalues, 0.0))[::-1]
+    probs = np.sort(red.eig.eigenvalues)[::-1]
     return probs / probs.sum()
 
 

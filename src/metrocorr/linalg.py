@@ -50,12 +50,12 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def require_hermitian(m, atol: float = HERM_ATOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Validate Hermiticity entrywise and return the symmetrized matrix."""
     a = as_matrix(m)
     dev = np.max(np.abs(a - a.conj().T))
-    if not dev <= atol:  # a NaN deviation fails this test too
-        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} exceeds {atol:.0e}")
+    if not dev <= HERM_ATOL:  # a NaN deviation fails this test too
+        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} exceeds {HERM_ATOL:.0e}")
     return hermitian_part(a)
 
 
@@ -66,10 +66,6 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def eig_hermitian(m) -> EigDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
@@ -79,13 +75,6 @@ def eig_hermitian(m) -> EigDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
     return EigDecomposition(w, v)
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a PSD Hermitian matrix; negative rounding noise clamps to 0."""
-    e = eig_hermitian(m)
-    w = np.sqrt(np.maximum(e.eigenvalues, 0.0))
-    return hermitian_part((e.eigenvectors * w) @ e.eigenvectors.conj().T)
 
 
 @dataclass(eq=False)
@@ -125,8 +114,8 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
 
-    def is_pure(self, atol: float = 1e-9) -> bool:
-        return abs(self.purity() - 1.0) <= atol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) <= 1e-9
 
 
 def validate_density(m, dims: Sequence[int]) -> DensityMatrix:
@@ -255,12 +244,6 @@ def random_density(dims: Sequence[int], rank: int, rng: np.random.Generator) -> 
     g = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2.0)
     m = g @ g.conj().T
     return DensityMatrix(dims, hermitian_part(m / np.real(np.trace(m))))
-
-
-def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix with Gaussian entries (GUE-like), O(1) norm."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return hermitian_part(g) * (scale / np.sqrt(d))
 
 
 def pauli_vector(n) -> np.ndarray:

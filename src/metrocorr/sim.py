@@ -25,17 +25,9 @@ from .discrimination import (
 )
 from .errors import DegenerateGrid, OutOfRange, TooManyCopies, ZeroInformation
 from .fisher import PhaseChannel, cramer_rao, ip_general, ip_qubit_qudit, qfi, sld
-from .linalg import (
-    PAULI_Z,
-    DensityMatrix,
-    Observable,
-    check_spectrum,
-    embed,
-    hermitian_part,
-    linear_spectrum,
-)
+from .linalg import PAULI_Z, DensityMatrix, Observable, check_spectrum, linear_spectrum
 from .manifold import MeasureResult, OptimizerConfig
-from .states import build_state
+from .states import make_fig1_state, make_werner
 from .uncertainty import (
     classical_uncertainty,
     lqu_general,
@@ -214,7 +206,7 @@ def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
         "trials": cfg.trials,
         "grid": [lo, hi, points],
         "seed": cfg.seed,
-        "worst_case": cfg.worst_case,
+        "worst_case": ip_value is not None,
         "generator_spectrum": generator.spectrum,
         "dims": list(rho0.dims),
     }
@@ -239,7 +231,7 @@ def run_discrimination(
     rho: DensityMatrix,
     spectrum,
     generator="worst-case",
-    n_max: int = 5,
+    n_max: int | None = None,
     config: OptimizerConfig | None = None,
 ) -> ExperimentRecord:
     """Exact minimum-error discrimination of a state from its rotated copy for
@@ -247,9 +239,14 @@ def run_discrimination(
 
     The per-copy exponent estimate is the log decrement
     -ln(P(n)/P(n-1)) with P(0) = 1/2; its value at n_max is compared with the
-    asymptotic exponent.
+    asymptotic exponent.  By default n_max is the largest n <= 5 whose joint
+    side rho.dim^n stays within ``MAX_JOINT_DIM``.
     """
     lam = check_spectrum(spectrum, rho.dims[0])
+    if n_max is None:
+        n_max = max((n for n in range(1, 6) if rho.dim**n <= MAX_JOINT_DIM), default=1)
+    if n_max < 1:
+        raise OutOfRange(f"copy count must be >= 1, got {n_max}")
     if rho.dim**n_max > MAX_JOINT_DIM:
         raise TooManyCopies(f"{rho.dim}^{n_max} exceeds the exact-computation guard")
     ds_value = None
@@ -261,10 +258,7 @@ def run_discrimination(
         ds_value = ds.value
     else:
         gen = generator
-    u = gen.basis_unitary
-    rot_local = (u * np.exp(1j * gen.spectrum)) @ u.conj().T
-    rot = embed(rot_local, rho.dims, 0)
-    rho2 = DensityMatrix(rho.dims, hermitian_part(rot @ rho.mat @ rot.conj().T))
+    rho2 = PhaseChannel(gen).apply(rho, -1.0)  # the rotated copy e^{iH} rho e^{-iH}
 
     ns = list(range(1, n_max + 1))
     errors = [helstrom_error(rho, rho2, n) for n in ns]
@@ -300,7 +294,7 @@ def run_discrimination(
     )
 
 
-SWEEP_PARAM = {"fig1": "p", "werner": "q"}
+SWEEP_PARAM = {"fig1": ("p", make_fig1_state), "werner": ("q", make_werner)}
 
 
 @dataclass(eq=False)
@@ -323,11 +317,12 @@ def sweep_states(family: str, grid, measures, ds_lambda: float = np.pi / 4) -> S
     """
     if family not in SWEEP_PARAM:
         raise OutOfRange(f"sweepable families: {sorted(SWEEP_PARAM)}; got {family!r}")
+    param, factory = SWEEP_PARAM[family]
     grid = np.asarray(grid, dtype=float).reshape(-1)
     measures = list(measures)
     rows = np.empty((grid.size, 1 + len(measures)))
     for i, x in enumerate(grid):
-        rho = build_state(family, {SWEEP_PARAM[family]: float(x)})
+        rho = factory(float(x))
         rows[i, 0] = x
         for j, m in enumerate(measures, start=1):
             if m == "variance":
@@ -340,4 +335,4 @@ def sweep_states(family: str, grid, measures, ds_lambda: float = np.pi / 4) -> S
                 rows[i, j] = correlation(m, rho, lam=ds_lambda).value
             else:
                 raise OutOfRange(f"unknown measure {m!r}")
-    return SweepTable([SWEEP_PARAM[family]] + measures, rows)
+    return SweepTable([param] + measures, rows)

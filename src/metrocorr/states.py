@@ -32,9 +32,6 @@ from .linalg import (
     validate_density,
 )
 
-FAMILIES = ("bell", "werner", "cq", "product", "fig1", "pure-schmidt", "custom-file")
-
-
 def make_bell() -> DensityMatrix:
     """Maximally entangled two-qubit state (|00> + |11>)/sqrt(2)."""
     v = np.zeros(4, dtype=complex)
@@ -199,31 +196,3 @@ def load_observable(path) -> Observable:
         raise ParseError(f"{path}: declared spectrum does not match the stored matrix")
     return obs
 
-
-# ---------------------------------------------------------------------------
-# parametrized families
-
-
-def build_state(family: str, parameters: Mapping | None = None, dims=None) -> DensityMatrix:
-    params = dict(parameters or {})
-    if family == "bell":
-        return make_bell()
-    if family == "werner":
-        return make_werner(float(params["q"]), int(params.get("d_b", 2)))
-    if family == "fig1":
-        return make_fig1_state(float(params["p"]))
-    if family == "cq":
-        return make_cq(params["probabilities"], params["basis"], params["sigmas"])
-    if family == "product":
-        a = params["state_a"]
-        b = params["state_b"]
-        a = a if isinstance(a, DensityMatrix) else load_state(a)
-        b = b if isinstance(b, DensityMatrix) else load_state(b)
-        return DensityMatrix(a.dims + b.dims, tensor(a.mat, b.mat))
-    if family == "pure-schmidt":
-        if dims is None:
-            raise DimMismatch("pure-schmidt needs explicit dims")
-        return make_schmidt_pure(params["probs"], dims)
-    if family == "custom-file":
-        return load_state(params["path"])
-    raise OutOfRange(f"unknown state family {family!r}; known: {', '.join(FAMILIES)}")

@@ -6,8 +6,8 @@ exactly when the state and the observable commute and equals the variance on
 pure states.  The LQU is its minimum over local observables with a fixed
 non-degenerate spectrum, a discord-like correlation measure.  For a qubit
 probe with unit spectrum it is 1 - lambda_max(W), W the 3x3 Pauli correlation
-matrix of sqrt(rho), contracted without any Kronecker product; other cases
-run the manifold optimizer.
+matrix of sqrt(rho), read off the cross tensor the optimizer cost also uses;
+other cases run the manifold optimizer.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .linalg import (
     PAULIS,
     DensityMatrix,
     Observable,
-    apply_local,
     check_operator,
     check_spectrum,
     partial_trace,
@@ -67,26 +66,31 @@ def hellinger_sq(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(1.0 - overlap, 0.0, 1.0))
 
 
-# Pauli index pairs (i, j), i <= j, of the symmetric correlation matrix
-_PAIRS = np.triu_indices(3)
+def _cross_tensor(rho: DensityMatrix, site: int) -> np.ndarray:
+    """T with tr[sqrt(rho) K' sqrt(rho) K'] = sum K_ab K_cd T_abcd, where K' is
+    K on subsystem ``site`` and the identity on the other, as a (d^2, d^2)
+    matrix over the index pairs (ab), (cd).
+
+    T is symmetric under (ab) <-> (cd), so the term changes by 2 tr[C dK] with
+    C the partial trace of sqrt(rho) K' sqrt(rho) onto ``site``,
+    C_ba = sum_cd T_abcd K_cd.
+    """
+    d = rho.dims[site]
+    r4 = rho.sqrtm.reshape(rho.dims + rho.dims)
+    if site == 0:
+        t_cross = np.einsum("djai,bicj->abcd", r4, r4)
+    else:
+        t_cross = np.einsum("idja,jbic->abcd", r4, r4)
+    return t_cross.reshape(d * d, d * d)
 
 
 def pauli_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)].
-
-    With R = sqrt(rho) and E_i = sigma_i x I, each entry is Re tr[Q_i Q_j] for
-    Q_i = E_i R from ``apply_local`` (no Kronecker product).  The products are
-    summed in the transposed layout, the one of the dense sum
-    sum((R E_i) * (R E_j)^T), so W equals the dense result bit for bit.
-    """
+    """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]:
+    the cross tensor contracted with the flattened Paulis, Re(P T P^T)."""
     if len(rho.dims) != 2 or rho.dims[0] != 2:
         raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
-    q_t = np.ascontiguousarray(apply_local(PAULIS, rho.sqrtm).swapaxes(1, 2))
-    i, j = _PAIRS
-    traces = np.real(np.sum(q_t[i] * q_t[j].swapaxes(1, 2), axis=(1, 2)))
-    w = np.empty((3, 3))
-    w[i, j] = w[j, i] = traces
-    return w
+    p = PAULIS.reshape(3, 4)
+    return np.real(p @ _cross_tensor(rho, 0) @ p.T)
 
 
 def lqu_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
@@ -127,17 +131,7 @@ def lqu_general(
     d = rho.dims[site]
     lam = check_spectrum(spectrum, d)
 
-    # Cross term tr[sqrt(rho) (K x I) sqrt(rho) (K x I)] = sum K_ab K_cd T_abcd,
-    # with T precomputed once from the reshaped matrix square root.  T is
-    # symmetric under (ab) <-> (cd), so the term changes by 2 tr[C dK] with
-    # C = Tr_B[sqrt(rho) (K x I) sqrt(rho)], C_ba = sum_cd T_abcd K_cd.
-    shape = rho.dims + rho.dims
-    r4 = rho.sqrtm.reshape(shape)
-    if site == 0:
-        t_cross = np.einsum("djai,bicj->abcd", r4, r4)
-    else:
-        t_cross = np.einsum("idja,jbic->abcd", r4, r4)
-    t_cross = t_cross.reshape(d * d, d * d)
+    t_cross = _cross_tensor(rho, site)
     rho_local = partial_trace(rho, site).mat
 
     def cost(u: np.ndarray):

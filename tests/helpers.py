@@ -7,11 +7,31 @@ from scipy.optimize import minimize_scalar
 from metrocorr.linalg import (
     PAULIS,
     DensityMatrix,
+    EigDecomposition,
+    eig_hermitian,
     embed,
     haar_unitary,
     hermitian_part,
-    psd_sqrt,
 )
+
+
+def reconstruct(e: EigDecomposition) -> np.ndarray:
+    """The matrix V diag(w) V^dag of a spectral decomposition."""
+    v = e.eigenvectors
+    return (v * e.eigenvalues) @ v.conj().T
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a PSD Hermitian matrix; negative rounding noise clamps to 0."""
+    e = eig_hermitian(m)
+    w = np.sqrt(np.maximum(e.eigenvalues, 0.0))
+    return hermitian_part((e.eigenvectors * w) @ e.eigenvectors.conj().T)
+
+
+def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Random Hermitian matrix with Gaussian entries (GUE-like), O(1) norm."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return hermitian_part(g) * (scale / np.sqrt(d))
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

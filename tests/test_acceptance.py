@@ -10,6 +10,7 @@ from helpers import (
     apply_channel,
     grid_minimum,
     qfi_quarter_on_directions,
+    random_hermitian,
     random_kraus_set,
     s_half_lemma_check,
     skew_on_directions,
@@ -26,7 +27,6 @@ from metrocorr.linalg import (
     haar_unitary,
     hermitian_part,
     random_density,
-    random_hermitian,
     tensor,
 )
 from metrocorr.sim import EstimationConfig, run_discrimination, run_phase_estimation, sweep_states

@@ -202,6 +202,17 @@ def test_simulate_discrimination_identical(tmp_path, capsys, cq_file):
     assert abs(exponent) < 1e-6
 
 
+def test_simulate_discrimination_default_copies_fit_the_guard(tmp_path, capsys):
+    # side 6: 6^5 = 7776 exceeds the copy guard, 6^4 = 1296 does not
+    path = tmp_path / "w23.json"
+    save_state(make_werner(0.4, 3), path)
+    out = tmp_path / "rec.json"
+    assert main(["simulate", "discrimination", "--state", str(path), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["config"]["n_max"] == 4
+    assert record["columns"]["n"] == [1, 2, 3, 4]
+
+
 def test_simulate_missing_state(tmp_path, capsys):
     assert main([
         "simulate", "estimation", "--state", str(tmp_path / "gone.json"),

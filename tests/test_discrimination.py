@@ -3,10 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import apply_channel, random_kraus_set, s_half_lemma_check, uhlmann_fidelity
+from helpers import (
+    apply_channel,
+    random_hermitian,
+    random_kraus_set,
+    s_half_lemma_check,
+    uhlmann_fidelity,
+)
 
-from metrocorr import sim
+from metrocorr import discrimination, sim
 from metrocorr.discrimination import (
+    _overlap_data,
     chernoff,
     ds_general,
     ds_pure,
@@ -29,9 +36,9 @@ from metrocorr.linalg import (
     haar_unitary,
     hermitian_part,
     random_density,
-    random_hermitian,
     tensor,
 )
+from metrocorr.manifold import OptimizerConfig
 from metrocorr.states import (
     make_bell,
     make_schmidt_pure,
@@ -173,8 +180,6 @@ def test_chernoff_orthogonal_states():
 
 def test_overlap_function_convex_in_s():
     rng = np.random.default_rng(6)
-    from metrocorr.discrimination import _overlap_data
-
     for _ in range(10):
         a = random_density([2, 2], 4, rng)
         b = random_density([2, 2], 3, rng)
@@ -183,6 +188,33 @@ def test_overlap_function_convex_in_s():
         g = np.array([float(np.exp(si * log1) @ w @ np.exp((1 - si) * log2)) for si in s])
         second = np.diff(g, 2)
         assert np.min(second) > -1e-9
+
+
+def test_support_is_the_nonzero_spectrum_of_eig(monkeypatch):
+    # 5e-14 lies below the 1e-13 floor of DensityMatrix.eig, 5e-13 above it
+    w = np.array([0.0, 5e-14, 5e-13, 0.2, 0.3, 0.5 - 5.5e-13])
+    u = haar_unitary(6, np.random.default_rng(12))
+    rho = DensityMatrix((2, 3), hermitian_part((u * w) @ u.conj().T))
+    eigenvalues = rho.eig.eigenvalues
+    log_support = np.log(eigenvalues[eigenvalues != 0.0])
+    assert log_support.size == 4
+    log1, log2, _ = _overlap_data(rho, rho)
+    np.testing.assert_array_equal(log1, log_support)
+    np.testing.assert_array_equal(log2, log_support)
+
+    seen = []
+    inner = discrimination._s_overlap_minimum
+
+    def spy(log1, log2, w):
+        seen.append((log1, log2))
+        return inner(log1, log2, w)
+
+    monkeypatch.setattr(discrimination, "_s_overlap_minimum", spy)
+    ds_general(rho, [-0.5, 0.5], OptimizerConfig(restarts=1))
+    assert seen
+    for log1, log2 in seen:
+        np.testing.assert_array_equal(log1, log_support)
+        np.testing.assert_array_equal(log2, log_support)
 
 
 def test_multicopy_error_bounded_by_chernoff_power():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import apply_channel, finite_difference_drho, random_kraus_set, random_povm
+from helpers import (
+    apply_channel,
+    finite_difference_drho,
+    random_hermitian,
+    random_kraus_set,
+    random_povm,
+)
 
 from metrocorr.errors import (
     DimMismatch,
@@ -29,7 +35,6 @@ from metrocorr.linalg import (
     hermitian_part,
     linear_spectrum,
     random_density,
-    random_hermitian,
     tensor,
 )
 from metrocorr.states import make_bell, random_cq

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import random_hermitian, reconstruct
+
 from metrocorr.errors import (
     BadRank,
     BadSubsystemIndex,
@@ -25,7 +27,6 @@ from metrocorr.linalg import (
     partial_trace,
     pure_density,
     random_density,
-    random_hermitian,
     tensor,
     trace_norm,
     validate_density,
@@ -106,7 +107,7 @@ def test_eig_reconstruction_invariants():
     for _ in range(20):
         rho = random_density([2, 3], 6, rng)
         e = eig_hermitian(rho.mat)
-        np.testing.assert_allclose(e.reconstruct(), rho.mat, atol=1e-9)
+        np.testing.assert_allclose(reconstruct(e), rho.mat, atol=1e-9)
         v = e.eigenvectors
         np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-9)
 

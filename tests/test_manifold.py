@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import brent_overlap_minimum
+from helpers import brent_overlap_minimum, random_hermitian
 
 import metrocorr
 from metrocorr import discrimination, fisher, uncertainty
 from metrocorr.discrimination import _overlap_data, _s_overlap_minimum
 from metrocorr.errors import ConvergenceFailure
-from metrocorr.linalg import haar_unitary, random_density, random_hermitian
+from metrocorr.linalg import haar_unitary, random_density
 from metrocorr.manifold import OptimizerConfig, minimize_over_unitaries
 
 LAMBDAS = {"pi/4": np.pi / 4, "pi/2": np.pi / 2}

@@ -61,6 +61,16 @@ def test_phase_estimation_worst_case_uses_ip_certificate():
     assert abs(s["fisher_information"] - 4.0 * s["interferometric_power"]) < 1e-9
 
 
+def test_phase_estimation_records_the_path_taken():
+    # without a generator the IP worst case runs even if worst_case is unset
+    rec = run_phase_estimation(bell_config(generator=None, trials=20))
+    assert rec.config["worst_case"] is True
+    assert abs(rec.summary["interferometric_power"] - 1.0) < 1e-9
+    rec = run_phase_estimation(bell_config(trials=20))
+    assert rec.config["worst_case"] is False
+    assert "interferometric_power" not in rec.summary
+
+
 def test_phase_estimation_worst_case_qutrit_probe_uses_ip_general():
     rho = random_density((3, 2), 3, np.random.default_rng(22))
     cfg = EstimationConfig(state=rho, worst_case=True, theta0=0.1, trials=10, seed=5)
@@ -136,6 +146,23 @@ def test_discrimination_worst_case_matches_ds():
 def test_discrimination_copy_guard():
     with pytest.raises(TooManyCopies):
         run_discrimination(make_bell(), [-0.5, 0.5], generator="worst-case", n_max=10)
+
+
+def test_discrimination_default_copies_fit_the_guard():
+    # largest n <= 5 with side^n <= 4096: 4^5 = 1024 and 9^3 = 729 < 4096 < 9^4
+    obs = Observable(np.array([-0.5, 0.5]), SZ.basis_unitary)
+    assert run_discrimination(make_bell(), obs.spectrum, generator=obs).config["n_max"] == 5
+    rho = random_density((3, 3), 9, np.random.default_rng(8))
+    gen = Observable(linear_spectrum(3), np.eye(3))
+    rec = run_discrimination(rho, gen.spectrum, generator=gen)
+    assert rec.config["n_max"] == 3
+    assert rec.columns["n"] == [1, 2, 3]
+
+
+def test_discrimination_rejects_zero_copies():
+    obs = Observable(np.array([-0.5, 0.5]), SZ.basis_unitary)
+    with pytest.raises(OutOfRange):
+        run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=0)
 
 
 def test_discrimination_record_roundtrip():

@@ -12,7 +12,6 @@ from metrocorr.errors import (
 )
 from metrocorr.linalg import PAULI_Z, embed, random_density, tensor, Observable
 from metrocorr.states import (
-    build_state,
     load_observable,
     load_state,
     make_bell,
@@ -175,19 +174,6 @@ def test_observable_file_spectrum_mismatch(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ParseError):
         load_observable(path)
-
-
-def test_build_state_families(tmp_path):
-    assert build_state("bell").dims == (2, 2)
-    assert build_state("werner", {"q": 0.3}).dims == (2, 2)
-    assert build_state("fig1", {"p": 0.3}).dims == (2,)
-    psi = build_state("pure-schmidt", {"probs": [0.25, 0.75]}, dims=(2, 2))
-    assert abs(psi.purity() - 1.0) < 1e-12
-    bell_path = tmp_path / "b.json"
-    save_state(make_bell(), bell_path)
-    assert build_state("custom-file", {"path": bell_path}).dims == (2, 2)
-    with pytest.raises(OutOfRange):
-        build_state("nonsense")
 
 
 def test_factories_produce_valid_states():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import apply_channel, random_kraus_set
+from helpers import apply_channel, random_hermitian, random_kraus_set
 
 from metrocorr.errors import DegenerateSpectrum, DimMismatch, ValidationError
 from metrocorr.linalg import (
@@ -14,7 +14,6 @@ from metrocorr.linalg import (
     partial_trace,
     pauli_vector,
     random_density,
-    random_hermitian,
     tensor,
 )
 from metrocorr.manifold import OptimizerConfig
@@ -253,6 +252,19 @@ def test_lqu_general_side_b():
     bell = make_bell()
     res = lqu_general(bell, [-1.0, 1.0], side="B")
     assert abs(res.value - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3)])
+def test_lqu_general_side_b_equals_side_a_of_swapped_state(dims):
+    d_a, d_b = dims
+    rho = random_density(dims, d_a * d_b, np.random.default_rng([d_a, d_b, 11]))
+    swapped = rho.mat.reshape(d_a, d_b, d_a, d_b).transpose(1, 0, 3, 2)
+    rho_swapped = DensityMatrix((d_b, d_a), swapped.reshape(rho.dim, rho.dim))
+    spectrum = linear_spectrum(d_b)
+    on_b = lqu_general(rho, spectrum, side="B")
+    on_a = lqu_general(rho_swapped, spectrum)
+    assert on_b.converged and on_a.converged
+    assert abs(on_b.value - on_a.value) <= 1e-9
 
 
 def test_lqu_general_config_is_third_positional():
