@@ -9,8 +9,10 @@ use support projectors.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ from .linalg import (
     DensityMatrix,
     Observable,
     apply_local,
+    canonical_sign,
     check_spectrum,
     partial_trace,
     spin_eig,
@@ -53,21 +56,149 @@ class ChernoffResult:
     exponent: float
 
 
-def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> float:
-    """Minimum error probability for discriminating n copies of two equiprobable
-    states: (1 - ||rho1^(x)n - rho2^(x)n||_1 / 2) / 2, computed exactly."""
-    if rho1.dim != rho2.dim:
-        raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
+def max_copies(d: int) -> int:
+    """Largest copy count n with joint side d^n within ``MAX_JOINT_DIM``, found
+    without forming the power; a one-dimensional state counts as a qubit."""
+    side, n = max(d, 2), 0
+    while side ** (n + 1) <= MAX_JOINT_DIM:
+        n += 1
+    return n
+
+
+def check_copies(n, d: int) -> int:
+    """The copy count n as an int: ``OutOfRange`` for a bool, a non-integer or
+    n < 1, ``TooManyCopies`` when d^n exceeds ``MAX_JOINT_DIM``."""
+    if isinstance(n, bool):
+        raise OutOfRange(f"copy count must be an integer, got {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise OutOfRange(f"copy count must be an integer, got {n!r}") from None
     if n < 1:
         raise OutOfRange(f"copy count must be >= 1, got {n}")
-    if rho1.dim**n > MAX_JOINT_DIM:
-        raise TooManyCopies(f"{rho1.dim}^{n} exceeds the exact-computation guard")
-    a, b = rho1.mat, rho2.mat
-    an, bn = a, b
-    for _ in range(n - 1):
-        an = np.kron(an, a)
-        bn = np.kron(bn, b)
-    err = 0.5 * (1.0 - 0.5 * trace_norm(an - bn))
+    if n > max_copies(d):
+        raise TooManyCopies(f"{d}^{n} exceeds the exact-computation guard")
+    return n
+
+
+def _partitions(n: int, rows: int, largest: int):
+    """Partitions of n into at most ``rows`` parts, none above ``largest``."""
+    if n == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, rows - 1, first):
+            yield (first, *rest)
+
+
+def _hook_lengths(lam) -> list:
+    """Hook length of every cell of the Young diagram lam, row by row."""
+    cols = [sum(1 for r in lam if r > j) for j in range(lam[0])]
+    return [lam[i] - j + cols[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+
+
+def _semistandard_words(lam, d: int) -> list:
+    """Entries of the semistandard tableaux of shape lam over 0..d-1 in
+    row-reading order: rows weakly increase, columns strictly increase."""
+    cells = [(i, j) for i, r in enumerate(lam) for j in range(r)]
+    above = {cell: k for k, cell in enumerate(cells)}
+    words, word = [], [0] * len(cells)
+
+    def fill(k):
+        if k == len(cells):
+            words.append(tuple(word))
+            return
+        i, j = cells[k]
+        lo = max(word[k - 1] if j else 0, word[above[i - 1, j]] + 1 if i else 0)
+        for v in range(lo, d):
+            word[k] = v
+            fill(k + 1)
+
+    fill(0)
+    return words
+
+
+def _signed_sum(x: np.ndarray, axes, sign: float) -> np.ndarray:
+    """Sum of sign(p) p(x) over the permutations p of the tensor axes ``axes``,
+    grown one axis at a time: S_k = (1 + sign sum_{a<b} (a b)) S_{k-1}."""
+    for k, b in enumerate(axes[1:], start=1):
+        x = x + sign * sum(np.swapaxes(x, a, b) for a in axes[:k])
+    return x
+
+
+@functools.lru_cache(maxsize=64)
+def _young_basis(d: int, n: int, lam: tuple) -> np.ndarray:
+    """Real orthonormal basis, d^n x m_lam, of one copy of the GL(d) irrep
+    pi_lam inside (C^d)^(x)n: the Young symmetrizer c_T = b_T a_T of the
+    row-reading standard tableau T applied to the tensor-basis words of the
+    semistandard tableaux of shape lam, then orthonormalized by QR."""
+    words = _semistandard_words(lam, d)
+    m = len(words)
+    # hook-content formula for the dimension of pi_lam
+    contents = math.prod(d + j - i for i, r in enumerate(lam) for j in range(r))
+    weyl = contents // math.prod(_hook_lengths(lam))
+    assert m == weyl, f"{m} semistandard tableaux of shape {lam}, Weyl dimension {weyl}"
+    x = np.zeros((d**n, m))
+    x[np.ravel_multi_index(np.array(words).T, (d,) * n), np.arange(m)] = 1.0
+    x = x.reshape((d,) * n + (m,))
+    starts = np.cumsum((0, *lam))
+    for s, r in zip(starts, lam):  # a_T: symmetrize each row
+        x = _signed_sum(x, list(range(s, s + r)), 1.0)
+    for j in range(lam[0]):  # b_T: antisymmetrize each column
+        x = _signed_sum(x, [s + j for s, r in zip(starts, lam) if r > j], -1.0)
+    q, r = np.linalg.qr(x.reshape(d**n, m))
+    diag = np.abs(np.diag(r))
+    assert diag.min() > 1e-8 * diag.max(), f"Young symmetrizer of shape {lam} lost rank"
+    q.setflags(write=False)  # shared by every caller through the cache
+    return q
+
+
+def _power_times(mats: np.ndarray, basis: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
+    """mat^(x)n @ basis for each mat in ``mats`` (shape (k, 1, d, d)), applying
+    it to one tensor factor of the d^n-row basis at a time: n products of cost
+    d^(n+1) m each.  The two rows of ``work`` take the products in turn."""
+    k, d = len(mats), mats.shape[-1]
+    y, spare = (w[: k * basis.size].reshape(k, d**n, -1) for w in work)
+    y[...] = basis
+    for i in range(n):
+        np.matmul(mats, y.reshape(k, d**i, d, -1), out=spare.reshape(k, d**i, d, -1))
+        y, spare = spare, y
+    return y
+
+
+def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> float:
+    """Minimum error probability for discriminating n copies of two equiprobable
+    states: (1 - ||rho1^(x)n - rho2^(x)n||_1 / 2) / 2, computed exactly.
+
+    The n-fold tensor powers commute with permutations of the copies, so by
+    Schur-Weyl duality the trace norm splits over partitions lam of n into at
+    most d rows: ||rho1^(x)n - rho2^(x)n||_1 = sum_lam f_lam ||pi_lam(rho1) -
+    pi_lam(rho2)||_1, with f_lam the hook-length dimension of the
+    symmetric-group irrep.  Each pi_lam(rho) is taken as B^T rho^(x)n B on a
+    cached Young-symmetrizer basis B of one copy of the irrep, so no
+    d^n x d^n matrix is formed.
+    """
+    if rho1.dim != rho2.dim:
+        raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
+    d = rho1.dim
+    n = check_copies(n, d)
+    bases = {lam: _young_basis(d, n, lam) for lam in _partitions(n, d, n)}
+    mats = np.stack([rho1.mat, rho2.mat])[:, None]
+    # one pair of work arrays for every block: fresh pages cost as much as
+    # the products that fill them
+    work = np.empty((2, 2 * max(basis.size for basis in bases.values())), dtype=complex)
+    norm = 0.0
+    for lam, basis in bases.items():
+        y = _power_times(mats, basis, n, work)
+        y[0] -= y[1]
+        # B^T (rho1^(x)n - rho2^(x)n) B with the complex entries viewed as
+        # real pairs: one real product
+        block = (basis.T @ y[0].view(np.float64)).view(complex)
+        f_lam = math.factorial(n) // math.prod(_hook_lengths(lam))
+        norm += f_lam * trace_norm(block)
+    err = 0.5 * (1.0 - 0.5 * norm)
     return float(np.clip(err, 0.0, 0.5))
 
 
@@ -254,7 +385,7 @@ def ds_qubit_qudit(rho: DensityMatrix, lam: float) -> MeasureResult:
     if not 0.0 < lam <= np.pi / 2.0:
         raise OutOfRange(f"spectral half-width must lie in (0, pi/2], got {lam}")
     evals, evecs = np.linalg.eigh(pauli_correlation_matrix(rho))
-    direction = evecs[:, -1]
+    direction = canonical_sign(evecs[:, -1])
     unit_lqu = max(1.0 - float(evals[-1]), 0.0)
     return MeasureResult(
         value=unit_lqu * math.sin(lam) ** 2,

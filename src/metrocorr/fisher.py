@@ -30,6 +30,7 @@ from .linalg import (
     Observable,
     apply_local,
     as_matrix,
+    canonical_sign,
     check_operator,
     check_spectrum,
     embed,
@@ -192,7 +193,7 @@ def ip_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
     the smallest eigenvalue of the sensitivity quadratic form."""
     m = quadratic_form_matrix(rho)
     evals, evecs = np.linalg.eigh(m)
-    direction = evecs[:, 0]
+    direction = canonical_sign(evecs[:, 0])
     return MeasureResult(
         value=float(evals[0]),
         certificate=Observable.pauli(direction),

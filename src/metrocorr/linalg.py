@@ -321,6 +321,12 @@ class Observable:
         return cls(e.eigenvalues, e.eigenvectors)
 
 
+def canonical_sign(v: np.ndarray) -> np.ndarray:
+    """The vector v or -v, whichever has its largest-magnitude component
+    positive: eigh leaves an eigenvector's sign to rounding noise."""
+    return -v if v[abs(v).argmax()] < 0 else v
+
+
 def spin_eig(direction) -> EigDecomposition:
     """Eigendecomposition of n . sigma for the normalized 3-vector n; its
     eigenvectors are the basis of ``Observable.pauli(n)``."""

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import (
-    MAX_JOINT_DIM,
+    check_copies,
     chernoff,
     ds_general,
     ds_qubit_qudit,
     helstrom_error,
+    max_copies,
 )
-from .errors import DegenerateGrid, OutOfRange, TooManyCopies, ZeroInformation
+from .errors import DegenerateGrid, OutOfRange, ZeroInformation
 from .fisher import PhaseChannel, cramer_rao, ip_general, ip_qubit_qudit, qfi, sld
 from .linalg import PAULI_Z, DensityMatrix, Observable, check_spectrum, linear_spectrum
 from .manifold import MeasureResult, OptimizerConfig
@@ -244,11 +245,8 @@ def run_discrimination(
     """
     lam = check_spectrum(spectrum, rho.dims[0])
     if n_max is None:
-        n_max = max((n for n in range(1, 6) if rho.dim**n <= MAX_JOINT_DIM), default=1)
-    if n_max < 1:
-        raise OutOfRange(f"copy count must be >= 1, got {n_max}")
-    if rho.dim**n_max > MAX_JOINT_DIM:
-        raise TooManyCopies(f"{rho.dim}^{n_max} exceeds the exact-computation guard")
+        n_max = max(min(5, max_copies(rho.dim)), 1)
+    n_max = check_copies(n_max, rho.dim)
     ds_value = None
     if isinstance(generator, str):
         if generator != "worst-case":

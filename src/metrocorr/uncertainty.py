@@ -18,6 +18,7 @@ from .linalg import (
     PAULIS,
     DensityMatrix,
     Observable,
+    canonical_sign,
     check_operator,
     check_spectrum,
     partial_trace,
@@ -98,7 +99,7 @@ def lqu_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
     Pauli correlation matrix; the certificate is the optimal spin direction."""
     pauli_w = pauli_correlation_matrix(rho)
     evals, evecs = np.linalg.eigh(pauli_w)
-    direction = evecs[:, -1]
+    direction = canonical_sign(evecs[:, -1])
     value = 1.0 - float(evals[-1])
     return MeasureResult(
         value=value,

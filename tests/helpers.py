@@ -12,6 +12,7 @@ from metrocorr.linalg import (
     embed,
     haar_unitary,
     hermitian_part,
+    trace_norm,
 )
 
 
@@ -172,3 +173,15 @@ def brent_overlap_minimum(log1, log2, w) -> tuple[float, float]:
     res = minimize_scalar(g, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-10})
     candidates = [(0.0, g(0.0)), (float(res.x), float(res.fun)), (1.0, g(1.0))]
     return min(candidates, key=lambda p: p[1])
+
+
+def dense_helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> float:
+    """Minimum n-copy error probability from the dense d^n x d^n Kronecker
+    powers: (1 - ||rho1^(x)n - rho2^(x)n||_1 / 2) / 2."""
+    a, b = rho1.mat, rho2.mat
+    an, bn = a, b
+    for _ in range(n - 1):
+        an = np.kron(an, a)
+        bn = np.kron(bn, b)
+    err = 0.5 * (1.0 - 0.5 * trace_norm(an - bn))
+    return float(np.clip(err, 0.0, 0.5))

@@ -14,8 +14,9 @@ import pytest
 
 from helpers import fibonacci_sphere, qfi_quarter_on_directions, skew_on_directions
 
+from metrocorr import discrimination, fisher, uncertainty
 from metrocorr.discrimination import ds_qubit_qudit
-from metrocorr.fisher import quadratic_form_matrix
+from metrocorr.fisher import ip_qubit_qudit, quadratic_form_matrix
 from metrocorr.linalg import PAULIS, embed, random_density
 from metrocorr.states import random_cq
 from metrocorr.uncertainty import lqu_qubit_qudit, pauli_correlation_matrix
@@ -85,3 +86,30 @@ def test_ds_qubit_qudit_follows_lqu_certificate(d_b, rank):
         np.testing.assert_array_equal(ds.certificate.spectrum, [-lam, lam])
         assert ds.info["unit_lqu"] == max(lqu.value, 0.0)
         assert abs(ds.value - max(lqu.value, 0.0) * math.sin(lam) ** 2) <= 1e-15
+
+
+def _noisy(m, rng):
+    e = rng.standard_normal((3, 3)) * 1e-16
+    return m + 0.5 * (e + e.T)
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4, 5])
+def test_certificate_direction_ignores_rounding_noise(monkeypatch, d_b):
+    # W of a cq state and M of a pure state have a degenerate pair beside the
+    # picked eigenvector, so eigh alone leaves its sign to the last bits
+    rng = np.random.default_rng([d_b, 1])
+    cases = [(random_cq((2, d_b), rng), random_density((2, d_b), 1, rng)) for _ in range(8)]
+    for cq, pure in cases:
+        w, m = pauli_correlation_matrix(cq), quadratic_form_matrix(pure)
+        want = [lqu_qubit_qudit(cq), ds_qubit_qudit(cq, 0.7), ip_qubit_qudit(pure)]
+        for _ in range(4):
+            noisy_w, noisy_m = _noisy(w, rng), _noisy(m, rng)
+            monkeypatch.setattr(uncertainty, "pauli_correlation_matrix", lambda rho: noisy_w)
+            monkeypatch.setattr(discrimination, "pauli_correlation_matrix", lambda rho: noisy_w)
+            monkeypatch.setattr(fisher, "quadratic_form_matrix", lambda rho: noisy_m)
+            got = [lqu_qubit_qudit(cq), ds_qubit_qudit(cq, 0.7), ip_qubit_qudit(pure)]
+            for g, r in zip(got, want):
+                for x, y in ((g.info["direction"], r.info["direction"]),
+                             (g.certificate.matrix, r.certificate.matrix)):
+                    np.testing.assert_allclose(x, y, rtol=0, atol=1e-9)
+        monkeypatch.undo()

@@ -1,3 +1,5 @@
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from helpers import (
     apply_channel,
+    dense_helstrom_error,
     random_hermitian,
     random_kraus_set,
     s_half_lemma_check,
@@ -133,6 +136,111 @@ def test_helstrom_dim_mismatch():
     rng = np.random.default_rng(2)
     with pytest.raises(DimMismatch):
         helstrom_error(random_density([2], 2, rng), random_density([3], 3, rng))
+
+
+@pytest.mark.parametrize("n", [2.0, 3.5, True, False, "3", None])
+def test_helstrom_rejects_non_integer_copy_counts(n):
+    rho = random_density([2, 2], 4, np.random.default_rng(5))
+    with pytest.raises(OutOfRange):
+        helstrom_error(rho, rho, n)
+
+
+def test_helstrom_accepts_numpy_integer_copy_counts():
+    rng = np.random.default_rng(6)
+    a, b = random_density([2, 2], 4, rng), random_density([2, 2], 3, rng)
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert helstrom_error(a, b, n) == helstrom_error(a, b, 3)
+
+
+def test_helstrom_huge_copy_count_fails_without_forming_the_power(monkeypatch):
+    # 4^(10^8) itself would be a 25 MB integer
+    rng = np.random.default_rng(7)
+    rho, sigma = random_density([2, 2], 4, rng), random_density([2, 2], 4, rng)
+    t0 = time.perf_counter()
+    _no_large_allocation(monkeypatch, lambda: helstrom_error(rho, sigma, 10**8))
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_copy_guard_limits():
+    assert [discrimination.max_copies(d) for d in (1, 2, 3, 4, 6, 9, 64, 4096, 4097)] == [
+        12, 12, 7, 6, 4, 3, 2, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# Helstrom by Schur-Weyl blocks
+
+
+def _pair(dims, kind, rng):
+    d = math.prod(dims)
+    if kind == "identical":
+        rho = random_density(dims, d, rng)
+        return rho, rho
+    if kind == "orthogonal":
+        u = haar_unitary(d, rng)
+        p = rng.random(d)
+        low = np.arange(d) < d // 2
+
+        def on(w):
+            return DensityMatrix(dims, hermitian_part((u * (w / w.sum())) @ u.conj().T))
+
+        return on(np.where(low, p, 0.0)), on(np.where(low, 0.0, p))
+    rank = {"full-rank": d, "rank-deficient": 2, "pure": 1}[kind]
+    return random_density(dims, rank, rng), random_density(dims, rank, rng)
+
+
+@pytest.mark.parametrize("dims, n_max", [((2, 2), 5), ((2, 3), 4), ((3, 3), 3)])
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "pure", "identical", "orthogonal"])
+def test_helstrom_blocks_match_dense_oracle(dims, n_max, kind):
+    rng = np.random.default_rng([math.prod(dims), len(kind)])
+    rho1, rho2 = _pair(dims, kind, rng)
+    for n in range(1, n_max + 1):
+        got = helstrom_error(rho1, rho2, n)
+        assert abs(got - dense_helstrom_error(rho1, rho2, n)) <= 1e-12, (n, got)
+    if kind == "identical":
+        assert abs(got - 0.5) <= 1e-12
+    if kind == "orthogonal":
+        assert got <= 1e-12
+
+
+def _blocks(d, n):
+    for lam in discrimination._partitions(n, d, n):
+        f_lam = math.factorial(n) // math.prod(discrimination._hook_lengths(lam))
+        yield lam, f_lam, discrimination._young_basis(d, n, lam)
+
+
+@pytest.mark.parametrize("d, n", [(2, 6), (3, 4), (4, 3), (4, 5), (6, 3), (9, 2), (5, 1)])
+def test_young_bases_decompose_the_tensor_power(d, n):
+    blocks = list(_blocks(d, n))
+    assert sum(f_lam * basis.shape[1] for _, f_lam, basis in blocks) == d**n
+    if d >= n:  # every partition of n appears: sum f_lam^2 = n!
+        assert sum(f_lam**2 for _, f_lam, _ in blocks) == math.factorial(n)
+    stacked = np.hstack([basis for _, _, basis in blocks])
+    # each basis is orthonormal, and copies of different irreps are orthogonal
+    np.testing.assert_allclose(stacked.T @ stacked, np.eye(stacked.shape[1]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 3), (4, 3), (6, 2)])
+def test_young_bases_are_invariant_under_tensor_powers(d, n):
+    rng = np.random.default_rng([d, n])
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x /= np.linalg.norm(x, 2)
+    xn = x
+    for _ in range(n - 1):
+        xn = np.kron(xn, x)
+    for _, _, basis in _blocks(d, n):
+        image = xn @ basis
+        np.testing.assert_allclose(image, basis @ (basis.T @ image), rtol=0, atol=1e-12)
+
+
+def test_helstrom_six_copies_of_two_qubit_pure_states():
+    # pure pairs: P_n = (1 - sqrt(1 - F^n)) / 2 with F = |<psi|phi>|^2
+    rng = np.random.default_rng(10)
+    pairs = [(make_bell(), bell_rotated(0.6))]
+    pairs += [(random_density([2, 2], 1, rng), random_density([2, 2], 1, rng)) for _ in range(3)]
+    for a, b in pairs:
+        fid = float(np.real(np.trace(a.mat @ b.mat)))
+        expect = 0.5 * (1.0 - math.sqrt(1.0 - fid**6))
+        assert abs(helstrom_error(a, b, 6) - expect) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

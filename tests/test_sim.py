@@ -165,6 +165,27 @@ def test_discrimination_rejects_zero_copies():
         run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=0)
 
 
+@pytest.mark.parametrize("n_max", [2.0, True, "3"])
+def test_discrimination_rejects_non_integer_copies(n_max):
+    obs = Observable(np.array([-0.5, 0.5]), SZ.basis_unitary)
+    with pytest.raises(OutOfRange):
+        run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=n_max)
+
+
+def test_discrimination_huge_copy_count_hits_the_guard():
+    obs = Observable(np.array([-0.5, 0.5]), SZ.basis_unitary)
+    with pytest.raises(TooManyCopies):
+        run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=10**8)
+
+
+def test_discrimination_numpy_copy_count_gives_a_plain_record():
+    obs = Observable(np.array([-0.5, 0.5]), SZ.basis_unitary)
+    rec = run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=np.int64(3))
+    plain = run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=3)
+    assert type(rec.config["n_max"]) is int
+    assert rec.to_json() == plain.to_json()
+
+
 def test_discrimination_record_roundtrip():
     obs = Observable(np.array([-0.5, 0.5]), SZ.basis_unitary)
     rec = run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=3)
