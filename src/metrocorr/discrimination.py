@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .linalg import (
     Observable,
     apply_local,
     canonical_sign,
+    check_integer,
     check_spectrum,
     partial_trace,
     spin_eig,
@@ -45,6 +45,8 @@ from .uncertainty import pauli_correlation_matrix
 
 MAX_JOINT_DIM = 4096
 S_TOL = 1e-12
+# a call's Young bases are kept in the cache only while they fit in this many bytes
+_BASIS_CACHE_BYTES = 32 << 20
 
 
 @dataclass
@@ -68,12 +70,7 @@ def max_copies(d: int) -> int:
 def check_copies(n, d: int) -> int:
     """The copy count n as an int: ``OutOfRange`` for a bool, a non-integer or
     n < 1, ``TooManyCopies`` when d^n exceeds ``MAX_JOINT_DIM``."""
-    if isinstance(n, bool):
-        raise OutOfRange(f"copy count must be an integer, got {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise OutOfRange(f"copy count must be an integer, got {n!r}") from None
+    n = check_integer(n, "copy count")
     if n < 1:
         raise OutOfRange(f"copy count must be >= 1, got {n}")
     if n > max_copies(d):
@@ -97,6 +94,12 @@ def _hook_lengths(lam) -> list:
     """Hook length of every cell of the Young diagram lam, row by row."""
     cols = [sum(1 for r in lam if r > j) for j in range(lam[0])]
     return [lam[i] - j + cols[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+
+
+def _weyl_dim(lam, d: int) -> int:
+    """Dimension of the GL(d) irrep pi_lam, by the hook-content formula."""
+    contents = math.prod(d + j - i for i, r in enumerate(lam) for j in range(r))
+    return contents // math.prod(_hook_lengths(lam))
 
 
 def _semistandard_words(lam, d: int) -> list:
@@ -136,9 +139,7 @@ def _young_basis(d: int, n: int, lam: tuple) -> np.ndarray:
     semistandard tableaux of shape lam, then orthonormalized by QR."""
     words = _semistandard_words(lam, d)
     m = len(words)
-    # hook-content formula for the dimension of pi_lam
-    contents = math.prod(d + j - i for i, r in enumerate(lam) for j in range(r))
-    weyl = contents // math.prod(_hook_lengths(lam))
+    weyl = _weyl_dim(lam, d)
     assert m == weyl, f"{m} semistandard tableaux of shape {lam}, Weyl dimension {weyl}"
     x = np.zeros((d**n, m))
     x[np.ravel_multi_index(np.array(words).T, (d,) * n), np.arange(m)] = 1.0
@@ -153,6 +154,13 @@ def _young_basis(d: int, n: int, lam: tuple) -> np.ndarray:
     assert diag.min() > 1e-8 * diag.max(), f"Young symmetrizer of shape {lam} lost rank"
     q.setflags(write=False)  # shared by every caller through the cache
     return q
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_columns(d: int, n: int) -> int:
+    """Sum of m_lam over the partitions of n into at most d rows: the columns
+    of the d^n-row Young bases one n-copy call uses."""
+    return sum(_weyl_dim(lam, d) for lam in _partitions(n, d, n))
 
 
 def _power_times(mats: np.ndarray, basis: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
@@ -177,15 +185,28 @@ def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> floa
     most d rows: ||rho1^(x)n - rho2^(x)n||_1 = sum_lam f_lam ||pi_lam(rho1) -
     pi_lam(rho2)||_1, with f_lam the hook-length dimension of the
     symmetric-group irrep.  Each pi_lam(rho) is taken as B^T rho^(x)n B on a
-    cached Young-symmetrizer basis B of one copy of the irrep, so no
-    d^n x d^n matrix is formed.
+    Young-symmetrizer basis B of one copy of the irrep, so no d^n x d^n matrix
+    is formed.  The bases are cached while a call's bases fit in
+    ``_BASIS_CACHE_BYTES``; at n = 1 the norm is that of rho1 - rho2 itself.
     """
     if rho1.dim != rho2.dim:
         raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
-    d = rho1.dim
-    n = check_copies(n, d)
-    bases = {lam: _young_basis(d, n, lam) for lam in _partitions(n, d, n)}
-    mats = np.stack([rho1.mat, rho2.mat])[:, None]
+    n = check_copies(n, rho1.dim)
+    # at n = 1 the one block, lam = (1), has the identity for its basis
+    norm = trace_norm(rho1.mat - rho2.mat) if n == 1 else _block_norm(rho1.mat, rho2.mat, n)
+    err = 0.5 * (1.0 - 0.5 * norm)
+    return float(np.clip(err, 0.0, 0.5))
+
+
+def _block_norm(m1: np.ndarray, m2: np.ndarray, n: int) -> float:
+    """||m1^(x)n - m2^(x)n||_1 as the sum over the Schur-Weyl blocks of
+    ``helstrom_error``."""
+    d = len(m1)
+    # bases too large to keep are built for this call only
+    fits = d**n * _basis_columns(d, n) * 8 <= _BASIS_CACHE_BYTES
+    build = _young_basis if fits else _young_basis.__wrapped__
+    bases = {lam: build(d, n, lam) for lam in _partitions(n, d, n)}
+    mats = np.stack([m1, m2])[:, None]
     # one pair of work arrays for every block: fresh pages cost as much as
     # the products that fill them
     work = np.empty((2, 2 * max(basis.size for basis in bases.values())), dtype=complex)
@@ -198,8 +219,7 @@ def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> floa
         block = (basis.T @ y[0].view(np.float64)).view(complex)
         f_lam = math.factorial(n) // math.prod(_hook_lengths(lam))
         norm += f_lam * trace_norm(block)
-    err = 0.5 * (1.0 - 0.5 * norm)
-    return float(np.clip(err, 0.0, 0.5))
+    return norm
 
 
 def _overlap_data(rho1: DensityMatrix, rho2: DensityMatrix):

@@ -6,6 +6,7 @@ which is exactly the ordering produced by ``np.kron``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -257,6 +258,17 @@ def linear_spectrum(d: int) -> np.ndarray:
     if d == 1:
         return np.array([1.0])
     return np.linspace(-1.0, 1.0, d)
+
+
+def check_integer(value, what: str) -> int:
+    """The value as a plain int: ``OutOfRange`` for a bool or a non-integer
+    (a float, even a whole one, or a string)."""
+    if isinstance(value, bool):
+        raise OutOfRange(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRange(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_spectrum(spectrum, d: int) -> np.ndarray:

@@ -26,7 +26,14 @@ from .discrimination import (
 )
 from .errors import DegenerateGrid, OutOfRange, ZeroInformation
 from .fisher import PhaseChannel, cramer_rao, ip_general, ip_qubit_qudit, qfi, sld
-from .linalg import PAULI_Z, DensityMatrix, Observable, check_spectrum, linear_spectrum
+from .linalg import (
+    PAULI_Z,
+    DensityMatrix,
+    Observable,
+    check_integer,
+    check_spectrum,
+    linear_spectrum,
+)
 from .manifold import MeasureResult, OptimizerConfig
 from .states import make_fig1_state, make_werner
 from .uncertainty import (
@@ -40,6 +47,10 @@ from .uncertainty import (
 DEFAULT_GRID_POINTS = 2001
 GRID_HALF_WIDTH_SIGMAS = 5.0
 CORRELATIONS = ("lqu", "ip", "ds")
+_MAX_COUNT = int(np.iinfo(np.int64).max)  # the largest count the multinomial sampler takes
+# the grid MLE takes the log-likelihood in row blocks of about this many bytes,
+# so one block buffer stays in cache and its pages fault in once per call
+_MLE_BLOCK_BYTES = 1 << 20
 
 
 def _pyfloat(x):
@@ -134,14 +145,52 @@ def _resolve_generator(cfg: EstimationConfig):
     return ip.certificate, ip.value
 
 
+def _grid_mle(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Grid index of each trial's maximum-likelihood estimate: the argmax over
+    the grid of counts @ log_p.T (counts (trials, K), log_p (points, K)), ties
+    resolved toward the grid midpoint and, at equal distance, to the lower index.
+
+    The grid columns are taken in order of distance from the midpoint (a stable
+    sort, so the lower index first), and ``argmax`` returns the first maximum
+    in that order.  The log-likelihood is formed a block of trials at a time
+    in one reused buffer of about ``_MLE_BLOCK_BYTES``, so no trials x points
+    array is allocated.  The blocks split the trials evenly, so none has a
+    single row unless ``trials`` is 1: numpy hands a one-row product to a
+    matrix-vector kernel, which rounds differently from a matrix product.
+    """
+    trials, points = len(counts), len(log_p)
+    order = np.argsort(np.abs(np.arange(points) - 0.5 * (points - 1)), kind="stable")
+    log_p_t = log_p[order].T  # (K, points), nearest the midpoint first
+    counts = counts.astype(float)
+    blocks = -(-trials // max(4, _MLE_BLOCK_BYTES // (8 * points)))
+    bounds = [trials * i // blocks for i in range(blocks + 1)]
+    buf = np.empty((-(-trials // blocks), points))
+    best = np.empty(trials, dtype=np.intp)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        loglik = np.matmul(counts[start:stop], log_p_t, out=buf[: stop - start])
+        best[start:stop] = loglik.argmax(axis=1)
+    return order[best]
+
+
 def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
     """Sample SLD-basis measurements at the true phase and grid-MLE the phase.
+
+    Each trial's estimate is the grid point of largest log-likelihood, taken
+    block-wise by ``_grid_mle``: among equal maxima the one nearest the grid
+    midpoint, and at equal distance the lower grid index.  Its memory does not
+    grow with trials x grid points.  ``trials``, ``n_per_trial`` and the grid
+    points must be integers (``OutOfRange`` otherwise, as for n_per_trial
+    above the int64 maximum), and the grid ends finite (``DegenerateGrid``).
 
     Records the empirical estimator variance about the true value, the bias,
     the Cramér-Rao bound 1/(n F), and their ratio.
     """
-    if cfg.trials < 1 or cfg.n_per_trial < 1:
+    trials = check_integer(cfg.trials, "trials")
+    n_per_trial = check_integer(cfg.n_per_trial, "n_per_trial")
+    if trials < 1 or n_per_trial < 1:
         raise OutOfRange("n_per_trial and trials must both be >= 1")
+    if n_per_trial > _MAX_COUNT:
+        raise OutOfRange(f"n_per_trial {n_per_trial} exceeds the int64 maximum {_MAX_COUNT}")
     rho0 = cfg.state
     generator, ip_value = _resolve_generator(cfg)
     channel = PhaseChannel(generator, cfg.theta0)
@@ -151,7 +200,7 @@ def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
         raise ZeroInformation(
             f"quantum Fisher information {fisher_value:.3e} is numerically zero"
         )
-    bound = cramer_rao(fisher_value, cfg.n_per_trial)
+    bound = cramer_rao(fisher_value, n_per_trial)
     sigma = math.sqrt(bound)
     if cfg.theta_grid is None:
         lo = cfg.theta0 - GRID_HALF_WIDTH_SIGMAS * sigma
@@ -159,7 +208,9 @@ def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
         points = DEFAULT_GRID_POINTS
     else:
         lo, hi, points = cfg.theta_grid
-        points = int(points)
+        points = check_integer(points, "grid points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DegenerateGrid(f"grid ends ({lo}, {hi}) must be finite")
     if points < 2 or not lo < hi:
         raise DegenerateGrid(f"grid ({lo}, {hi}, {points}) is degenerate")
     if not lo < cfg.theta0 < hi:
@@ -177,9 +228,11 @@ def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
     coeff = np.einsum("ak,ab,bk->kab", b_h.conj(), rho_h, b_h)
     delta = (hvals[:, None] - hvals[None, :]).reshape(-1)
     coeff_flat = coeff.reshape(coeff.shape[0], -1).T  # (D^2, K)
+    # a local generator repeats few gaps among the D^2: exp each one once
+    gaps, gap_of = np.unique(delta, return_inverse=True)
 
     def outcome_probs(theta_values: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * np.outer(theta_values, delta))
+        phases = np.exp(-1j * np.outer(theta_values, gaps))[:, gap_of]
         return np.real(phases @ coeff_flat)
 
     p_grid = np.clip(outcome_probs(thetas), 0.0, None)
@@ -187,15 +240,10 @@ def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
     p0 = p0 / p0.sum()
 
     rng = np.random.default_rng(cfg.seed)
-    counts = rng.multinomial(cfg.n_per_trial, p0, size=cfg.trials)
+    counts = rng.multinomial(n_per_trial, p0, size=trials)
     with np.errstate(divide="ignore"):
         log_p = np.where(p_grid > 0.0, np.log(np.where(p_grid > 0.0, p_grid, 1.0)), -1e12)
-    loglik = counts @ log_p.T  # (trials, points)
-    mid = 0.5 * (points - 1)
-    is_max = loglik == loglik.max(axis=1, keepdims=True)
-    distance = np.abs(np.arange(points) - mid)
-    best_idx = np.where(is_max, distance, np.inf).argmin(axis=1)
-    estimates = thetas[best_idx]
+    estimates = thetas[_grid_mle(counts, log_p)]
 
     errors = estimates - cfg.theta0
     mse = float(np.mean(errors**2))
@@ -203,8 +251,8 @@ def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
     config_echo = {
         "kind": "phase_estimation",
         "theta0": cfg.theta0,
-        "n_per_trial": cfg.n_per_trial,
-        "trials": cfg.trials,
+        "n_per_trial": n_per_trial,
+        "trials": trials,
         "grid": [lo, hi, points],
         "seed": cfg.seed,
         "worst_case": ip_value is not None,
@@ -223,7 +271,7 @@ def run_phase_estimation(cfg: EstimationConfig) -> ExperimentRecord:
     return ExperimentRecord(
         kind="phase_estimation",
         config=config_echo,
-        columns={"trial": list(range(cfg.trials)), "estimate": estimates},
+        columns={"trial": list(range(trials)), "estimate": estimates},
         summary=summary,
     )
 

@@ -185,3 +185,15 @@ def dense_helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -
         bn = np.kron(bn, b)
     err = 0.5 * (1.0 - 0.5 * trace_norm(an - bn))
     return float(np.clip(err, 0.0, 0.5))
+
+
+def dense_grid_mle(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Grid index of each row's maximum of counts @ log_p.T, from the whole
+    trials x points log-likelihood: among the maxima, the nearest to the grid
+    midpoint, and at equal distance the lower index."""
+    points = len(log_p)
+    loglik = counts @ log_p.T  # (trials, points)
+    mid = 0.5 * (points - 1)
+    is_max = loglik == loglik.max(axis=1, keepdims=True)
+    distance = np.abs(np.arange(points) - mid)
+    return np.where(is_max, distance, np.inf).argmin(axis=1)

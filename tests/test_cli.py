@@ -175,6 +175,15 @@ def test_simulate_estimation(bell_file, tmp_path, capsys):
     assert payload["summary"]["ratio"] == pytest.approx(ratio, abs=5e-7)
 
 
+@pytest.mark.parametrize(
+    "extra", [["--grid=-inf:1:5"], ["--grid=0:1:2.7"], ["--n", str(10**19)]]
+)
+def test_simulate_estimation_bad_counts_and_grids_exit_2(bell_file, extra, capsys):
+    argv = ["simulate", "estimation", "--state", bell_file, "--worst-case", "--theta0", "0.3"]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_simulate_estimation_zero_information(tmp_path, capsys):
     path = tmp_path / "cq.json"
     zero = np.diag([1.0, 0.0]).astype(complex)

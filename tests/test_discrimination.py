@@ -243,6 +243,38 @@ def test_helstrom_six_copies_of_two_qubit_pure_states():
         assert abs(helstrom_error(a, b, 6) - expect) <= 1e-12
 
 
+def test_helstrom_one_copy_is_the_block_path_without_a_basis():
+    rng = np.random.default_rng(12)
+    discrimination._young_basis.cache_clear()
+    for dims in ([2, 2], [2, 3], [3, 3]):
+        for rank in (1, 2, 4):
+            a = random_density(dims, rank, rng)
+            b = random_density(dims, int(rng.integers(1, 5)), rng)
+            block = 0.5 * (1.0 - 0.5 * discrimination._block_norm(a.mat, b.mat, 1))
+            assert helstrom_error(a, b, 1) == float(np.clip(block, 0.0, 0.5))
+    discrimination._young_basis.cache_clear()
+    helstrom_error(a, b, 1)
+    assert discrimination._young_basis.cache_info().currsize == 0
+
+
+def test_young_basis_cache_keeps_only_bases_within_its_budget(monkeypatch):
+    # one (8,8) call at n = 2 would keep 4096 x (2080 + 2016) floats, 128 MB
+    assert 64**2 * discrimination._basis_columns(64, 2) * 8 > discrimination._BASIS_CACHE_BYTES
+    rng = np.random.default_rng(13)
+    a, b = random_density([2, 2], 4, rng), random_density([2, 2], 2, rng)
+    discrimination._young_basis.cache_clear()
+    expect = helstrom_error(a, b, 5)
+    parts = list(discrimination._partitions(5, 4, 5))
+    assert discrimination._young_basis.cache_info().currsize == len(parts)
+    cached = sum(discrimination._young_basis(4, 5, lam).nbytes for lam in parts)
+    assert cached <= discrimination._BASIS_CACHE_BYTES
+    # with a budget just below them, the same bases serve the call uncached
+    monkeypatch.setattr(discrimination, "_BASIS_CACHE_BYTES", cached - 1)
+    discrimination._young_basis.cache_clear()
+    assert helstrom_error(a, b, 5) == expect
+    assert discrimination._young_basis.cache_info().currsize == 0
+
+
 # ---------------------------------------------------------------------------
 # Chernoff
 

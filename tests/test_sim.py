@@ -1,7 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import dense_grid_mle
+
+from metrocorr import sim
 
 from metrocorr.discrimination import ds_qubit_qudit
 from metrocorr.errors import DegenerateGrid, OutOfRange, TooManyCopies, ZeroInformation
@@ -103,6 +107,102 @@ def test_phase_estimation_estimates_in_grid():
     assert np.all(est >= lo) and np.all(est <= hi)
     payload = json.loads(rec.to_json())
     assert payload["summary"]["variance"] == rec.summary["variance"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"trials": 2.5},
+        {"trials": "3"},
+        {"trials": True},
+        {"n_per_trial": 2.5},
+        {"n_per_trial": 10**19},
+        {"theta_grid": (0.0, 1.0, 2.7)},
+    ],
+    ids=["trials-float", "trials-str", "trials-bool", "n-float", "n-above-int64", "points-float"],
+)
+def test_phase_estimation_rejects_non_integer_or_oversized_counts(change):
+    with pytest.raises(OutOfRange):
+        run_phase_estimation(bell_config(**change))
+
+
+@pytest.mark.parametrize(
+    "grid", [(-np.inf, 1.0, 5), (0.0, np.inf, 5), (np.nan, 1.0, 5)], ids=["-inf", "inf", "nan"]
+)
+def test_phase_estimation_rejects_non_finite_grid_ends(grid):
+    with pytest.raises(DegenerateGrid):
+        run_phase_estimation(bell_config(theta_grid=grid))
+
+
+def test_phase_estimation_echoes_plain_integers():
+    rec = run_phase_estimation(bell_config(trials=np.int64(5), n_per_trial=np.int32(7)))
+    config = json.loads(rec.to_json())["config"]
+    assert config["trials"] == 5 and type(config["trials"]) is int
+    assert config["n_per_trial"] == 7 and type(config["n_per_trial"]) is int
+
+
+def _block_rows(points):
+    return max(4, sim._MLE_BLOCK_BYTES // (8 * points))
+
+
+def _exact_mle_inputs(trials, points, k, rng):
+    """Counts and log-probabilities whose products and sums are exact in
+    floating point, so every evaluation order gives the same log-likelihood
+    and ties are exact: small integer counts, log-probabilities in eighths."""
+    counts = rng.integers(0, 4, size=(trials, k))
+    log_p = -rng.integers(0, 6, size=(points, k)) / 8.0
+    mid = (points - 1) // 2
+    for j in range(1, min(mid, 6)):  # duplicated columns at mid - j and mid + j
+        log_p[points - 1 - mid + j] = log_p[mid - j]
+    log_p[rng.random(points) < 0.1, 0] = -1e12
+    counts[::5] = 0  # constant rows: every grid point ties
+    return counts, log_p
+
+
+@pytest.mark.parametrize("points", [2, 3, 10, 11, 2000, 2001])
+def test_grid_mle_matches_the_dense_tie_break(points):
+    rng = np.random.default_rng(points)
+    rows = _block_rows(points)
+    for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 2):
+        counts, log_p = _exact_mle_inputs(trials, points, 4, rng)
+        np.testing.assert_array_equal(sim._grid_mle(counts, log_p), dense_grid_mle(counts, log_p))
+
+
+def test_grid_mle_ties_go_to_the_midpoint_then_the_lower_index():
+    log_p = np.zeros((5, 2))
+    counts = np.ones((1, 2), dtype=np.int64)
+    assert sim._grid_mle(counts, log_p)[0] == 2  # a constant likelihood picks the midpoint
+    log_p[2] = -1.0
+    assert sim._grid_mle(counts, log_p)[0] == 1  # mid - 1 and mid + 1 tie: the lower index
+    log_p = np.zeros((4, 2))
+    assert sim._grid_mle(counts, log_p)[0] == 1  # even points: indices 1 and 2 tie at distance 1/2
+    log_p[:, 0] = [-1e12, -1e12, -1e12, -3.0]
+    assert sim._grid_mle(counts, log_p)[0] == 3
+
+
+def test_grid_mle_matches_the_dense_oracle_on_sampled_counts():
+    rng = np.random.default_rng(7)
+    points = 2001
+    p = rng.dirichlet(np.ones(6), size=points)
+    counts = rng.multinomial(500, p[points // 2], size=2 * _block_rows(points) + 3)
+    log_p = np.log(p)
+    np.testing.assert_array_equal(sim._grid_mle(counts, log_p), dense_grid_mle(counts, log_p))
+
+
+def test_phase_estimation_memory_does_not_grow_with_trials_times_grid():
+    rho = random_density((2, 3), 6, np.random.default_rng(5))
+    cfg = EstimationConfig(state=rho, generator=Observable.pauli([1.0, 0.0, 0.0]), theta0=0.5,
+                           n_per_trial=500, trials=2000, seed=3)
+    run_phase_estimation(cfg)  # first-call set-up is not the estimate's memory
+    tracemalloc.start()
+    try:
+        rec = run_phase_estimation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.config["grid"][2] == 2001
+    # the dense log-likelihood alone would be 2000 x 2001 x 8 bytes = 32 MB
+    assert peak < 4 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
