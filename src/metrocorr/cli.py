@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .discrimination import chernoff
-from .errors import MetrocorrError, ZeroInformation
+from .errors import DegenerateGrid, MetrocorrError, ZeroInformation
 from .fisher import PhaseChannel, qfi
-from .linalg import Observable
+from .linalg import Observable, check_integer
 from .manifold import MeasureResult, OptimizerConfig
 from .sim import (
     CORRELATIONS,
@@ -41,8 +42,27 @@ def _parse_spectrum(text: str) -> np.ndarray:
 
 
 def _parse_grid(text: str):
-    lo, hi, n = text.split(":")
-    return float(lo), float(hi), int(n)
+    """``lo:hi:points`` as (lo, hi, points): ``DegenerateGrid`` for a malformed
+    text, non-finite ends or fewer than one point, ``OutOfRange`` for a
+    non-integer point count."""
+    fields = text.split(":")
+    if len(fields) != 3:
+        raise DegenerateGrid(f"grid must be lo:hi:points, got {text!r}")
+    lo, hi, points = fields
+    try:
+        lo, hi = float(lo), float(hi)
+    except ValueError:
+        raise DegenerateGrid(f"grid ends must be numbers, got {text!r}") from None
+    try:
+        points = int(points)
+    except ValueError:
+        pass  # check_integer names the bad count
+    points = check_integer(points, "grid points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DegenerateGrid(f"grid ends ({lo}, {hi}) must be finite")
+    if points < 1:
+        raise DegenerateGrid(f"grid needs at least one point, got {points}")
+    return lo, hi, points
 
 
 def _certificate_summary(cert: Observable | None) -> dict:

@@ -232,57 +232,79 @@ def _overlap_data(rho1: DensityMatrix, rho2: DensityMatrix):
 
 
 def _s_overlap_minimum(log1, log2, w):
-    """Minimize g(s) = sum_ij exp(s log1_i + (1-s) log2_j) w_ij over s in [0, 1].
+    """Minimize g_r(s) = sum_ij exp(s log1_i + (1-s) log2_j) w_rij over s in
+    [0, 1] for every row r of the stack w[N, a, b]; returns the arrays (s, q).
 
-    Flattened as g(s) = c . exp(s d) with d_ij = log1_i - log2_j and
-    c_ij = w_ij exp(log2_j).  g is convex, so the minimum sits at an endpoint
-    when g' does not change sign on [0, 1], and otherwise at the root of g',
-    found by Newton steps kept inside the bracket where g' changes sign
-    (bisection when a step would leave it).
+    Flattened as g_r(s) = c_r . exp(s d) with d_ij = log1_i - log2_j and
+    c_rij = w_rij exp(log2_j).  g_r is convex, so its minimum sits at s = 0
+    when g_r'(0) = c_r . d >= 0, at s = 1 when g_r'(1) <= 0, and otherwise at
+    the root of g_r'.  The endpoint slopes of all rows come from batched
+    products (g_r'(1) only where g_r'(0) < 0), so endpoint rows need no
+    iteration; only the rows whose slope changes sign run ``_newton_minimum``.
     """
-    d = (log1[:, None] - log2[None, :]).ravel()
-    c = (w * np.exp(log2)[None, :]).ravel()
+    d = (log1[:, None] - log2).ravel()
+    c = (w * np.exp(log2)).reshape(len(w), -1)
     cd = c * d
-    cdd = cd * d
+    slope_lo = cd.sum(axis=1)
+    s = np.zeros(len(c))
+    q = c.sum(axis=1)
+    down = np.flatnonzero(slope_lo < 0.0)
+    if down.size:
+        e = np.exp(d)
+        # a row-wise sum, not a matrix product, so that each row's Newton
+        # start, and so its result, does not depend on the rows beside it
+        slope_hi = (cd[down] * e).sum(axis=1)
+        at_one = down[slope_hi <= 0.0]
+        s[at_one] = 1.0
+        q[at_one] = c[at_one] @ e
+        inside = slope_hi > 0.0
+        for r, lo, hi in zip(down[inside], slope_lo[down[inside]].tolist(), slope_hi[inside].tolist()):
+            s[r], q[r] = _newton_minimum(c[r], cd[r], d, lo, hi)
+    return s, q
 
-    def slopes(s: float):
-        e = np.exp(s * d)
-        return float(cd @ e), float(cdd @ e)
 
+def _slopes(s: float, d: np.ndarray, coef: np.ndarray) -> list:
+    """[g(s), g'(s), g''(s)] for g(s) = c . exp(s d), with coef the rows
+    (c, c d, c d^2)."""
+    return (coef @ np.exp(s * d)).tolist()
+
+
+def _newton_minimum(c, cd, d, slope_lo: float, slope_hi: float):
+    """(s, g(s)) at the root of g' in (0, 1), given g'(0) < 0 < g'(1).
+
+    Newton steps from the secant guess, kept inside the bracket where g'
+    changes sign (bisection when a step would leave it).  The search stops
+    once a Newton step is at most ``S_TOL``, before the bracket test, and
+    returns the point it last evaluated.
+    """
+    coef = np.stack((c, cd, cd * d))
     lo, hi = 0.0, 1.0
-    slope_lo, _ = slopes(lo)
-    if slope_lo >= 0.0:
-        return lo, float(np.sum(c))
-    slope_hi, _ = slopes(hi)
-    if slope_hi <= 0.0:
-        return hi, float(c @ np.exp(d))
     s = slope_lo / (slope_lo - slope_hi)
     for _ in range(100):
-        slope, curv = slopes(s)
+        q, slope, curv = _slopes(s, d, coef)
         if slope < 0.0:
             lo = s
         else:
             hi = s
-        nxt = s - slope / curv if curv > 0.0 else None
-        if nxt is None or not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        done = abs(nxt - s) <= S_TOL
-        s = nxt
-        if done or hi - lo <= S_TOL:
+        step = slope / curv if curv > 0.0 else math.inf
+        if abs(step) <= S_TOL or hi - lo <= S_TOL:
             break
-    return s, float(c @ np.exp(s * d))
+        nxt = s - step
+        s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return s, q
 
 
 def chernoff(rho1: DensityMatrix, rho2: DensityMatrix) -> ChernoffResult:
-    """Chernoff overlap Q = min_{0<=s<=1} tr[rho1^s rho2^(1-s)] by safeguarded
-    Newton search (the integrand is convex in s); endpoints use support projectors."""
+    """Chernoff overlap Q = min_{0<=s<=1} tr[rho1^s rho2^(1-s)]: the one-row
+    call of ``_s_overlap_minimum`` (the integrand is convex in s); endpoints
+    use support projectors."""
     if rho1.dim != rho2.dim:
         raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
     log1, log2, w = _overlap_data(rho1, rho2)
-    s_star, q = _s_overlap_minimum(log1, log2, w)
-    q = float(np.clip(q, 0.0, 1.0))
+    s_star, q = _s_overlap_minimum(log1, log2, w[None])
+    q = min(max(float(q[0]), 0.0), 1.0)
     exponent = math.inf if q == 0.0 else -math.log(q)
-    return ChernoffResult(q_value=q, s_star=float(s_star), exponent=exponent)
+    return ChernoffResult(q_value=q, s_star=float(s_star[0]), exponent=exponent)
 
 
 def ds_general(
@@ -294,8 +316,9 @@ def ds_general(
     overlap between the state and its rotated copy.
 
     Nested optimization: for each candidate generator H = U diag(spectrum) U^dag
-    on subsystem A, the overlap is minimized over s by ``_s_overlap_minimum``;
-    the outer maximization runs on the unitary manifold.  By the envelope
+    on subsystem A, the overlap is minimized over s by ``_s_overlap_minimum``,
+    one call per cost evaluation for the whole batch of restarts; the outer
+    maximization runs on the unitary manifold.  By the envelope
     theorem its gradient is that of g(s*, R) in the local rotation
     R = U exp(i diag(spectrum)) U^dag at the inner optimum s*.  The spectrum is
     centered (a constant shift only changes a global phase, so the measure is
@@ -318,11 +341,7 @@ def ds_general(
         # X = V^dag (R x I) V on the support; g(s) = sum_kl w_k^s w_l^(1-s) |X_kl|^2
         rot_local = (u * phases) @ dagger(u)
         cross = v.conj().T @ apply_local(rot_local, v)
-        overlap = np.abs(cross) ** 2
-        s_star = np.empty(len(u))
-        q = np.empty(len(u))
-        for r in range(len(u)):
-            s_star[r], q[r] = _s_overlap_minimum(logw, logw, overlap[r])
+        s_star, q = _s_overlap_minimum(logw, logw, np.abs(cross) ** 2)
         s_col = s_star[:, None, None]
         weights = np.exp(s_col * logw[:, None] + (1.0 - s_col) * logw)
         # dg = Re tr(Gamma dR), Gamma = 2 Tr_B[V (weights^T o X^dag) V^dag]

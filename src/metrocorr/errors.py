@@ -82,4 +82,5 @@ class DimensionTooLarge(MetrocorrError):
 
 
 class DegenerateGrid(MetrocorrError):
-    """An estimation grid is empty, inverted, or excludes the true value."""
+    """A grid is malformed, empty, not finite, inverted, or excludes the true
+    value (estimation)."""

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,26 @@ def test_sweep_bad_family(tmp_path, capsys):
         "sweep", "--family", "ghz", "--grid", "0:1:5", "--measures", "lqu",
         "--out", str(tmp_path / "x.tsv"),
     ]) == 2
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("0:1:-3", "at least one point"),
+        ("-inf:1:5", "must be finite"),
+        ("0:1:2.5", "must be an integer"),
+        ("0:1:0", "at least one point"),
+    ],
+)
+def test_sweep_bad_grid_exits_2(tmp_path, capsys, grid, message):
+    out = tmp_path / "x.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--family", "werner", f"--grid={grid}", "--measures", "lqu", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_simulate_estimation(bell_file, tmp_path, capsys):

@@ -12,7 +12,7 @@ import metrocorr
 from metrocorr import discrimination, fisher, uncertainty
 from metrocorr.discrimination import _overlap_data, _s_overlap_minimum
 from metrocorr.errors import ConvergenceFailure
-from metrocorr.linalg import haar_unitary, random_density
+from metrocorr.linalg import apply_local, haar_unitary, random_density
 from metrocorr.manifold import OptimizerConfig, minimize_over_unitaries
 
 LAMBDAS = {"pi/4": np.pi / 4, "pi/2": np.pi / 2}
@@ -110,7 +110,8 @@ def test_non_finite_cost_raises_convergence_failure(bad_value, bad_gradient):
 
 
 def _assert_matches_brent(log1, log2, w, interior_s=True):
-    s, value = _s_overlap_minimum(log1, log2, w)
+    s, value = _s_overlap_minimum(log1, log2, w[None])
+    s, value = s[0], value[0]
     s_ref, value_ref = brent_overlap_minimum(log1, log2, w)
     assert 0.0 <= s <= 1.0
     assert abs(value - value_ref) < 1e-12
@@ -140,7 +141,8 @@ def test_s_search_pure_first_state():
         log1, log2, w = _overlap_data(psi, rho)
         # g(s) = sum_j b_j^(1-s) |<psi|j>|^2 does not decrease in s: its
         # minimum is <psi|rho|psi>, at s = 0 (anywhere when rho is pure too)
-        s, value = _s_overlap_minimum(log1, log2, w)
+        s, value = _s_overlap_minimum(log1, log2, w[None])
+        s, value = s[0], value[0]
         vec = psi.eig.eigenvectors[:, -1]
         assert abs(value - float(np.real(vec.conj() @ rho.mat @ vec))) < 1e-12
         _assert_matches_brent(log1, log2, w, interior_s=False)
@@ -151,7 +153,8 @@ def test_s_search_flat_overlap_of_commuting_states():
     p = rng.dirichlet(np.ones(3))
     logp = np.log(p)
     # identical diagonal states: g(s) = sum_i p_i^s p_i^(1-s) = 1 for every s
-    s, value = _s_overlap_minimum(logp, logp, np.eye(3))
+    s, value = _s_overlap_minimum(logp, logp, np.eye(3)[None])
+    s, value = s[0], value[0]
     assert abs(value - 1.0) < 1e-12
     _assert_matches_brent(logp, logp, np.eye(3), interior_s=False)
 
@@ -159,13 +162,73 @@ def test_s_search_flat_overlap_of_commuting_states():
 def test_s_search_minimum_at_endpoints():
     p = np.array([0.7, 0.3])
     # a pure state inside a mixed support: g(s) = 0.7^(1-s), minimal at s = 0
-    s, value = _s_overlap_minimum(np.array([0.0]), np.log(p), np.array([[1.0, 0.0]]))
+    s, value = _s_overlap_minimum(np.array([0.0]), np.log(p), np.array([[1.0, 0.0]])[None])
+    s, value = s[0], value[0]
     assert s == 0.0 and abs(value - 0.7) < 1e-15
     _assert_matches_brent(np.array([0.0]), np.log(p), np.array([[1.0, 0.0]]), interior_s=False)
     # the mirrored pair: g(s) = 0.7^s, minimal at s = 1
-    s, value = _s_overlap_minimum(np.log(p), np.array([0.0]), np.array([[1.0], [0.0]]))
+    s, value = _s_overlap_minimum(np.log(p), np.array([0.0]), np.array([[1.0], [0.0]])[None])
+    s, value = s[0], value[0]
     assert s == 1.0 and abs(value - 0.7) < 1e-15
     _assert_matches_brent(np.log(p), np.array([0.0]), np.array([[1.0], [0.0]]), interior_s=False)
+
+
+def _rotated_copy_rows(seed, rows=16):
+    """Support logs of a full-rank (3,3) state and the overlaps |X_kl|^2 of its
+    eigenvectors with those of its local rotations (R x 1) rho (R x 1)^dag,
+    R = U exp(i pi/4 diag(-1, 0, 1)) U^dag for Haar U: one row per rotation,
+    each with its minimum near s = 1/2."""
+    rng = np.random.default_rng(seed)
+    e = random_density((3, 3), 9, rng).eig
+    v = e.eigenvectors
+    u = np.stack([haar_unitary(3, rng) for _ in range(rows)])
+    rot = (u * np.exp(0.25j * np.pi * np.array([-1.0, 0.0, 1.0]))) @ u.conj().swapaxes(1, 2)
+    return np.log(e.eigenvalues), np.abs(v.conj().T @ apply_local(rot, v)) ** 2
+
+
+def test_s_search_matches_brent_on_rotated_copies():
+    for seed in (27, 28):
+        logw, w = _rotated_copy_rows(seed)
+        for row in w:
+            s = _assert_matches_brent(logw, logw, row)
+            assert 0.4 < s < 0.6
+
+
+def test_s_search_stack_matches_single_rows():
+    logw, rotated = _rotated_copy_rows(29, rows=4)
+    # one overlap entry (i, j) gives g(s) = w_i^s w_j^(1-s): increasing when
+    # w_i > w_j (minimum at s = 0), decreasing when w_i < w_j (at s = 1)
+    single = np.zeros((2, 9, 9))
+    single[0, 8, 0] = single[1, 0, 8] = 1.0
+    stack = np.concatenate([rotated[:2], single, np.eye(9)[None], rotated[2:]])
+    s, q = _s_overlap_minimum(logw, logw, stack)
+    assert s.shape == q.shape == (len(stack),)
+    assert s[2] == 0.0 and s[3] == 1.0 and s[4] == 0.0
+    assert np.all((0.0 < s[[0, 1, 5, 6]]) & (s[[0, 1, 5, 6]] < 1.0))
+    for r, row in enumerate(stack):
+        s_one, q_one = _s_overlap_minimum(logw, logw, row[None])
+        assert abs(s[r] - s_one[0]) <= 1e-15
+        assert abs(q[r] - q_one[0]) <= 1e-15
+
+
+def test_s_search_stops_on_a_converged_newton_step(monkeypatch):
+    # a Newton step that lands on the root to rounding must end the search,
+    # not fall through to bisection down to S_TOL
+    calls = []
+    slopes = discrimination._slopes
+
+    def spy(s, d, coef):
+        calls.append(s)
+        return slopes(s, d, coef)
+
+    monkeypatch.setattr(discrimination, "_slopes", spy)
+    for seed in (30, 31):
+        logw, w = _rotated_copy_rows(seed)
+        for row in w:
+            calls.clear()
+            s, _ = _s_overlap_minimum(logw, logw, row[None])
+            assert 0.0 < s[0] < 1.0
+            assert 1 <= len(calls) <= 8
 
 
 # ---------------------------------------------------------------------------
