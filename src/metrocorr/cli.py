@@ -16,7 +16,7 @@ import numpy as np
 from .discrimination import chernoff
 from .errors import DegenerateGrid, MetrocorrError, ZeroInformation
 from .fisher import PhaseChannel, qfi
-from .linalg import Observable, check_integer
+from .linalg import Observable, check_integer, linear_spectrum
 from .manifold import MeasureResult, OptimizerConfig
 from .sim import (
     CORRELATIONS,
@@ -177,8 +177,8 @@ def cmd_simulate(args) -> int:
     else:
         if args.spectrum is not None:
             spectrum = _parse_spectrum(args.spectrum)
-        else:
-            spectrum = np.array([-args.ds_lambda, args.ds_lambda])
+        else:  # the default of ``measure --ds``: d_A values over [-lambda, lambda]
+            spectrum = linear_spectrum(rho.dims[0]) * args.ds_lambda
         generator = load_observable(args.generator) if args.generator else "worst-case"
         record = run_discrimination(
             rho,

@@ -8,8 +8,9 @@ The quantum Fisher information is computed from the state eigendecomposition,
 skipping eigenvalue pairs whose sum is numerically zero.  The interferometric
 power is min over local generators of F/4; for a qubit probe it reduces to the
 smallest eigenvalue of a 3x3 quadratic form, built from the Paulis in the
-state eigenbasis by ``apply_local`` (no Kronecker product), the kernel the
-optimizer cost uses for a general generator.
+state eigenbasis by ``apply_local`` (no Kronecker product); for a general
+generator the optimizer minimizes F/4 as a pair-weighted form over the same
+eigenbasis (``pair_form``).
 """
 from __future__ import annotations
 
@@ -35,14 +36,9 @@ from .linalg import (
     check_spectrum,
     embed,
     hermitian_part,
+    pair_form,
 )
-from .manifold import (
-    MeasureResult,
-    OptimizerConfig,
-    dagger,
-    minimize_over_unitaries,
-    unitary_gradient,
-)
+from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries, quadratic_cost
 
 PAIR_CUTOFF = 1e-12
 PROB_CUTOFF = 1e-12
@@ -214,20 +210,11 @@ def ip_general(
         raise DimMismatch(f"bipartite state expected, got dims {rho.dims}")
     d = rho.dims[0]
     lam = check_spectrum(spectrum, d)
-    e = rho.eig
-    coeff = _qfi_weights(e.eigenvalues)
-    v = e.eigenvectors
-    # eigenvectors with rows split by the A index: (d_A, d_B * rho.dim)
-    v_a = v.reshape(d, -1)
+    # F/4 = 1/2 sum_kl coeff_kl |<k|H x I|l>|^2 over the eigenbasis of rho
+    form = pair_form(rho, _qfi_weights(rho.eig.eigenvalues))
 
     def cost(u: np.ndarray):
-        # F/4 with F = 2 sum_ij coeff_ij |H_ij|^2 over ordered pairs, where
-        # H~ = V^dag (H x I) V; the gradient is Gamma = Tr_B[V (coeff o H~) V^dag]
-        h_local = (u * lam) @ dagger(u)
-        h_tilde = v.conj().T @ apply_local(h_local, v)
-        values = 0.5 * np.sum(coeff * np.abs(h_tilde) ** 2, axis=(1, 2))
-        gamma = (v @ (coeff * h_tilde)).reshape(-1, d, v_a.shape[1]) @ v_a.conj().T
-        return values, unitary_gradient(gamma, u, lam)
+        return quadratic_cost(form, u, lam)
 
     best, u_best, used, converged, values = minimize_over_unitaries(cost, d, config)
     return MeasureResult(

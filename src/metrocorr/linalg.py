@@ -194,6 +194,24 @@ def apply_local(ops, m: np.ndarray) -> np.ndarray:
     return (ops @ m.reshape(ops.shape[-1], -1)).reshape(-1, *m.shape)
 
 
+def pair_form(rho: DensityMatrix, weights: np.ndarray, site: int = 0) -> np.ndarray:
+    """Symmetric (d^2, d^2) matrix A with
+    vec(K)^T A vec(K) = 1/2 sum_kl weights_kl |<k|K'|l>|^2 for Hermitian K,
+    where |k> are the eigenvectors of the bipartite ``rho`` and K' is K on
+    subsystem ``site`` and the identity on the other.
+
+    With <k|K'|l> = sum_ab K_ab B_ab,kl and conj(B_cd,kl) = B_dc,lk, the entry
+    A_ab,cd = 1/2 sum_kl weights_kl B_ab,kl B_cd,lk for symmetric weights.
+    """
+    d = rho.dims[site]
+    v = rho.eig.eigenvectors.reshape(rho.dims + (rho.dim,))
+    if site == 1:
+        v = v.swapaxes(0, 1)
+    b = np.einsum("ajk,bjl->abkl", v.conj(), v)
+    left = (b * weights).reshape(d * d, -1)
+    return 0.5 * left @ b.swapaxes(2, 3).reshape(d * d, -1).T
+
+
 def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     dims = list(dims)
     n = len(dims)

@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure
-from .linalg import haar_unitary
+from .errors import ConvergenceFailure, OutOfRange
+from .linalg import check_integer, haar_unitary
 
 MAXITER = 400  # batched cost evaluations per call, backtracking trials included
 ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
 MAX_ANGLE = 1.0  # largest rotation |t Omega|_F of one step, in radians
 MEMORY = 10  # accepted values the nonmonotone Armijo test compares against
+TIE_TOL = 1e-12  # restarts within this fraction of max(1, |f_min|) of the best tie
 
 
 @dataclass
@@ -78,6 +79,16 @@ def unitary_gradient(gamma: np.ndarray, u: np.ndarray, diag: np.ndarray) -> np.n
     return dagger(gamma) @ (u * diag.conj()) + gamma @ (u * diag)
 
 
+def quadratic_cost(form: np.ndarray, u: np.ndarray, diag: np.ndarray):
+    """Values vec(M)^T A vec(M) of a symmetric form A (``linalg.pair_form``) at
+    M = U diag(D) U^dag, and their gradients in U[R, d, d]: Gamma = 2 (A vec M)^T.
+    """
+    m = (u * diag) @ dagger(u)
+    am = (m.reshape(len(m), -1) @ form).reshape(m.shape)
+    values = np.real(np.sum(m * am, axis=(1, 2)))
+    return values, unitary_gradient(2.0 * am.swapaxes(1, 2), u, diag)
+
+
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re tr(a^dag b) per batch entry."""
     return np.real(np.sum(a.conj() * b, axis=(-2, -1)))
@@ -97,10 +108,14 @@ def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None)
     over d x d unitaries.
 
     Returns (best_value, best_unitary, restarts_used, converged, all_values).
+    The best is the lowest-index restart within ``TIE_TOL`` of the minimum, so
+    exact ties (K and -K on a symmetric spectrum) do not follow rounding.
     """
     cfg = config or OptimizerConfig()
+    n = check_integer(cfg.restarts, "restart count")
+    if n < 1:
+        raise OutOfRange(f"restart count must be >= 1, got {n}")
     rng = np.random.default_rng(cfg.seed)
-    n = max(1, cfg.restarts)
     ftol = cfg.value_tol * 1e-3
     u = np.stack([haar_unitary(d, rng) for _ in range(n)])
     f, omega = _evaluate(cost, u)
@@ -142,6 +157,7 @@ def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None)
         step[acc] = np.minimum(bb, cap)
         done = (np.abs(decrease) <= ftol) & (0.5 * step[acc] * grad_sq[acc] <= ftol)
         active[acc[done | (grad_sq[acc] == 0.0)]] = False
-    best = int(np.argmin(f))
+    f_min = float(np.min(f))
+    best = int(np.argmax(f <= f_min + TIE_TOL * max(1.0, abs(f_min))))
     converged = int(np.sum(f <= f[best] + cfg.reproduce_tol)) >= 3
     return float(f[best]), u[best], n, converged, f

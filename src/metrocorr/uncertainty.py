@@ -6,8 +6,8 @@ exactly when the state and the observable commute and equals the variance on
 pure states.  The LQU is its minimum over local observables with a fixed
 non-degenerate spectrum, a discord-like correlation measure.  For a qubit
 probe with unit spectrum it is 1 - lambda_max(W), W the 3x3 Pauli correlation
-matrix of sqrt(rho), read off the cross tensor the optimizer cost also uses;
-other cases run the manifold optimizer.
+matrix of sqrt(rho); other cases run the manifold optimizer on the skew
+information as a pair-weighted form over the eigenbasis of rho.
 """
 from __future__ import annotations
 
@@ -21,15 +21,9 @@ from .linalg import (
     canonical_sign,
     check_operator,
     check_spectrum,
-    partial_trace,
+    pair_form,
 )
-from .manifold import (
-    MeasureResult,
-    OptimizerConfig,
-    dagger,
-    minimize_over_unitaries,
-    unitary_gradient,
-)
+from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries, quadratic_cost
 
 
 def _trace_prod(a: np.ndarray, b: np.ndarray) -> float:
@@ -67,31 +61,16 @@ def hellinger_sq(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(1.0 - overlap, 0.0, 1.0))
 
 
-def _cross_tensor(rho: DensityMatrix, site: int) -> np.ndarray:
-    """T with tr[sqrt(rho) K' sqrt(rho) K'] = sum K_ab K_cd T_abcd, where K' is
-    K on subsystem ``site`` and the identity on the other, as a (d^2, d^2)
-    matrix over the index pairs (ab), (cd).
-
-    T is symmetric under (ab) <-> (cd), so the term changes by 2 tr[C dK] with
-    C the partial trace of sqrt(rho) K' sqrt(rho) onto ``site``,
-    C_ba = sum_cd T_abcd K_cd.
-    """
-    d = rho.dims[site]
-    r4 = rho.sqrtm.reshape(rho.dims + rho.dims)
-    if site == 0:
-        t_cross = np.einsum("djai,bicj->abcd", r4, r4)
-    else:
-        t_cross = np.einsum("idja,jbic->abcd", r4, r4)
-    return t_cross.reshape(d * d, d * d)
-
-
 def pauli_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]:
-    the cross tensor contracted with the flattened Paulis, Re(P T P^T)."""
+    the cross tensor T_abcd = tr[sqrt(rho) (E_ab x I) sqrt(rho) (E_cd x I)]
+    contracted with the flattened Paulis, Re(P T P^T)."""
     if len(rho.dims) != 2 or rho.dims[0] != 2:
         raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
+    r4 = rho.sqrtm.reshape(rho.dims + rho.dims)
+    t_cross = np.einsum("djai,bicj->abcd", r4, r4).reshape(4, 4)
     p = PAULIS.reshape(3, 4)
-    return np.real(p @ _cross_tensor(rho, 0) @ p.T)
+    return np.real(p @ t_cross @ p.T)
 
 
 def lqu_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
@@ -121,8 +100,9 @@ def lqu_general(
 
     The observable is K = U diag(spectrum) U^dag embedded on the measured side;
     the minimum of the skew information over U is located by the shared
-    manifold optimizer (closed forms exist only for a qubit probe), with the
-    gradient Gamma = rho_A K + K rho_A - 2 Tr_B[sqrt(rho) (K x I) sqrt(rho)].
+    manifold optimizer (closed forms exist only for a qubit probe).  In the
+    eigenbasis of rho the skew information is the pair-weighted form
+    1/2 sum_kl (sqrt(p_k) - sqrt(p_l))^2 |<k|K'|l>|^2 (``pair_form``).
     """
     if len(rho.dims) != 2:
         raise DimMismatch(f"bipartite state expected, got dims {rho.dims}")
@@ -132,17 +112,11 @@ def lqu_general(
     d = rho.dims[site]
     lam = check_spectrum(spectrum, d)
 
-    t_cross = _cross_tensor(rho, site)
-    rho_local = partial_trace(rho, site).mat
+    root = np.sqrt(rho.eig.eigenvalues)
+    form = pair_form(rho, (root[:, None] - root[None, :]) ** 2, site)
 
     def cost(u: np.ndarray):
-        k_local = (u * lam) @ dagger(u)
-        ct = (k_local.reshape(-1, d * d) @ t_cross).reshape(k_local.shape)
-        second = np.real(np.sum(rho_local.T * (k_local @ k_local), axis=(1, 2)))
-        cross = np.real(np.sum(k_local * ct, axis=(1, 2)))
-        rk = rho_local @ k_local
-        gamma = rk + dagger(rk) - 2.0 * ct.swapaxes(1, 2)
-        return second - cross, unitary_gradient(gamma, u, lam)
+        return quadratic_cost(form, u, lam)
 
     best, u_best, used, converged, values = minimize_over_unitaries(cost, d, config)
     return MeasureResult(

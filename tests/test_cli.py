@@ -243,6 +243,25 @@ def test_simulate_discrimination_default_copies_fit_the_guard(tmp_path, capsys):
     assert record["columns"]["n"] == [1, 2, 3, 4]
 
 
+def test_simulate_discrimination_default_spectrum_on_a_qutrit_probe(tmp_path, capsys):
+    # without --spectrum the probe takes d_A values over [-lambda, lambda], as
+    # measure --ds does, so a d_A = 3 state runs instead of exiting 2
+    path = tmp_path / "r32.json"
+    save_state(random_density((3, 2), 6, np.random.default_rng(31)), path)
+    out = tmp_path / "rec.json"
+    argv = ["simulate", "discrimination", "--state", str(path), "--copies", "2",
+            "--restarts", "4", "--out", str(out)]
+    assert main(argv) == 0
+    record = json.loads(out.read_text())
+    expect = ds_general(load_state(path), linear_spectrum(3) * np.pi / 4, OptimizerConfig(restarts=4))
+    assert record["columns"]["n"] == [1, 2]
+    assert record["config"]["spectrum"] == list(linear_spectrum(3) * np.pi / 4)
+    assert abs(record["summary"]["discriminating_strength"] - expect.value) < 1e-12
+    capsys.readouterr()
+    assert main(argv[:-4] + ["--restarts", "0"]) == 2
+    assert "restart count" in capsys.readouterr().err
+
+
 def test_simulate_missing_state(tmp_path, capsys):
     assert main([
         "simulate", "estimation", "--state", str(tmp_path / "gone.json"),

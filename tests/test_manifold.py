@@ -11,15 +11,19 @@ from helpers import brent_overlap_minimum, random_hermitian
 import metrocorr
 from metrocorr import discrimination, fisher, uncertainty
 from metrocorr.discrimination import _overlap_data, _s_overlap_minimum
-from metrocorr.errors import ConvergenceFailure
-from metrocorr.linalg import apply_local, haar_unitary, random_density
+from metrocorr.errors import ConvergenceFailure, OutOfRange
+from metrocorr.fisher import qfi
+from metrocorr.linalg import apply_local, embed, haar_unitary, random_density
 from metrocorr.manifold import OptimizerConfig, minimize_over_unitaries
+from metrocorr.states import random_cq
+from metrocorr.uncertainty import skew_information
 
 LAMBDAS = {"pi/4": np.pi / 4, "pi/2": np.pi / 2}
 COSTS = ["lqu-A", "lqu-B", "ip", "ds-pi/4", "ds-pi/2"]
+SPECTRA = {2: np.array([-1.0, 1.0]), 3: np.array([-1.0, 0.3, 1.0])}
 
 
-def _capture_cost(monkeypatch, case):
+def _capture_cost(monkeypatch, case, rho=None):
     """The batched cost closure that a *_general call hands to the optimizer."""
     captured = {}
 
@@ -29,12 +33,13 @@ def _capture_cost(monkeypatch, case):
 
     for module in (uncertainty, fisher, discrimination):
         monkeypatch.setattr(module, "minimize_over_unitaries", grab)
-    rho = random_density((3, 2), 6, np.random.default_rng(21))
-    spectrum = np.array([-1.0, 0.3, 1.0])
+    if rho is None:
+        rho = random_density((3, 2), 6, np.random.default_rng(21))
+    spectrum = SPECTRA[rho.dims[0]]
     if case == "lqu-A":
         uncertainty.lqu_general(rho, spectrum)
     elif case == "lqu-B":
-        uncertainty.lqu_general(rho, [-1.0, 1.0], side="B")
+        uncertainty.lqu_general(rho, SPECTRA[rho.dims[1]], side="B")
     elif case == "ip":
         fisher.ip_general(rho, spectrum)
     else:
@@ -59,6 +64,62 @@ def test_cost_gradient_matches_finite_difference(monkeypatch, case):
     h = 1e-5
     numeric = (cost(moved(h))[0] - cost(moved(-h))[0]) / (2.0 * h)
     np.testing.assert_allclose(analytic, numeric, rtol=0.0, atol=1e-6)
+
+
+def _shared_form_states():
+    rng = np.random.default_rng(23)
+    for dims in [(2, 3), (3, 2), (3, 3)]:
+        side = dims[0] * dims[1]
+        for label, rho in [
+            ("full-rank", random_density(dims, side, rng)),
+            ("rank-2", random_density(dims, 2, rng)),
+            ("cq", random_cq(dims, rng)),
+            ("pure", random_density(dims, 1, rng)),
+        ]:
+            yield pytest.param(rho, id=f"{label}-{dims[0]}x{dims[1]}")
+
+
+@pytest.mark.parametrize("rho", list(_shared_form_states()))
+@pytest.mark.parametrize("case", ["lqu-A", "lqu-B", "ip"])
+def test_pair_form_cost_matches_skew_information_and_qfi(monkeypatch, case, rho):
+    # LQU and IP share one pair-weighted cost; its values must be the skew
+    # information and F/4 of K = U diag(lambda) U^dag on the measured side
+    cost, d = _capture_cost(monkeypatch, case, rho)
+    site = 1 if case == "lqu-B" else 0
+    lam = SPECTRA[d]
+    rng = np.random.default_rng(24)
+    u = np.stack([haar_unitary(d, rng) for _ in range(3)])
+    values, _ = cost(u)
+    for value, basis in zip(values, u):
+        k_full = embed((basis * lam) @ basis.conj().T, rho.dims, site)
+        expect = qfi(rho, k_full) / 4.0 if case == "ip" else skew_information(rho, k_full)
+        assert abs(value - expect) < 1e-12
+
+
+def test_tied_restarts_return_the_lowest_index():
+    # restarts 1 and 3 tie at the minimum; the first of them is the certificate,
+    # also when rounding puts the later one 1e-15 below
+    for nudge in (0.0, -1e-15):
+        levels = np.array([0.5, 0.2, 0.7, 0.2 + nudge])
+
+        def cost(u):
+            return levels[: len(u)].copy(), np.zeros_like(u)
+
+        config = OptimizerConfig(restarts=4, seed=3)
+        best, u, used, converged, values = minimize_over_unitaries(cost, 2, config)
+        rng = np.random.default_rng(3)
+        starts = [haar_unitary(2, rng) for _ in range(4)]
+        assert best == 0.2 and used == 4
+        np.testing.assert_array_equal(u, starts[1])
+
+
+@pytest.mark.parametrize("restarts", [0, -2, 2.5, "3", True, None])
+def test_bad_restart_count_raises_out_of_range(restarts):
+    def cost(u):
+        return np.zeros(len(u)), np.zeros_like(u)
+
+    with pytest.raises(OutOfRange):
+        minimize_over_unitaries(cost, 2, OptimizerConfig(restarts=restarts))
 
 
 @pytest.mark.parametrize("case", ["lqu-A", "ip", "ds-pi/2"])
