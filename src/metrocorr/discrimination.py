@@ -9,7 +9,6 @@ use support projectors.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,8 +44,9 @@ from .uncertainty import pauli_correlation_matrix
 
 MAX_JOINT_DIM = 4096
 S_TOL = 1e-12
-# a call's Young bases are kept in the cache only while they fit in this many bytes
+# the cached levels of the latest calls hold at most this many bytes of bases
 _BASIS_CACHE_BYTES = 32 << 20
+_LEVELS: dict = {}  # (d, n) -> levels, least recently used first
 
 
 @dataclass
@@ -78,102 +78,97 @@ def check_copies(n, d: int) -> int:
     return n
 
 
-def _partitions(n: int, rows: int, largest: int):
-    """Partitions of n into at most ``rows`` parts, none above ``largest``."""
-    if n == 0:
-        yield ()
-        return
-    if rows == 0:
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, rows - 1, first):
-            yield (first, *rest)
+def _children(mu: tuple, d: int) -> dict:
+    """The partitions mu + one box with at most d rows, keyed by the content
+    (column - row) of the added box."""
+    rows = (*mu, 0)
+    return {rows[i] - i: tuple(r + (j == i) for j, r in enumerate(rows) if r + (j == i))
+            for i in range(min(len(rows), d)) if i == 0 or rows[i - 1] > rows[i]}
 
 
-def _hook_lengths(lam) -> list:
-    """Hook length of every cell of the Young diagram lam, row by row."""
-    cols = [sum(1 for r in lam if r > j) for j in range(lam[0])]
-    return [lam[i] - j + cols[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+def _with_copy(j_mu: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
+    """J of pi_lam with one more copy, (m_lam d) x (m_lam d), from the J of its
+    parent mu and B = B_lam viewed as B[c, r, a] (c a row of pi_mu, r a letter):
+    J_lam[(a, p), (l, q)] = sum B[c, r, a] J_mu[(c, p), (c', q)] B[c', r, l]
+    + sum_c B[c, q, a] B[c, p, l].  The new copy swaps with the copies of mu
+    through J_mu, and with the copy that carries lam's last box directly."""
+    m_mu, m = basis.shape[0] // d, basis.shape[1]
+    b = basis.reshape(m_mu, d, m)
+    x = np.tensordot(j_mu.reshape(m_mu, d, m_mu, d), b, axes=(2, 0))  # [c, p, q, r, l]
+    t = np.tensordot(b, x, axes=([0, 1], [0, 3]))  # [a, p, q, l]
+    t += np.tensordot(b, b, axes=(0, 0)).transpose(1, 2, 0, 3)
+    return t.transpose(0, 1, 3, 2).reshape(m * d, m * d)
 
 
-def _weyl_dim(lam, d: int) -> int:
-    """Dimension of the GL(d) irrep pi_lam, by the hook-content formula."""
-    contents = math.prod(d + j - i for i, r in enumerate(lam) for j in range(r))
-    return contents // math.prod(_hook_lengths(lam))
+def _build_levels(d: int, n: int) -> list:
+    """Levels 1..n of the one-copy recursion: level k lists, for each partition
+    lam of k into at most d rows, (lam, index of its parent mu in level k - 1,
+    f_lam, B_lam).  Level 1 is the state itself and has no basis.
+
+    pi_mu (x) C^d splits without multiplicity into the pi_lam with lam = mu +
+    one box, and the real symmetric J = sum_ij pi_mu(E_ij) (x) E_ji acts on
+    the pi_lam copy as the content of that box (the Jucys-Murphy element of
+    the new copy).  J keeps the weight (the letters of the copies), so it is
+    diagonalised one weight space at a time: every column of B_lam is a weight
+    vector.  f_lam sums f_mu over all parents; B_lam comes from the first."""
+    levels = [[((1,), 0, 1, None)]]
+    letters = [[(a,) for a in range(d)]]  # each column's letters, sorted: its weight
+    for k in range(2, n + 1):
+        if k == 2:  # at level 1, J is the swap of the two copies
+            js = [np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, -1)]
+        else:
+            js = [_with_copy(js[i], basis, d) for _, i, _, basis in levels[-1]]
+        f, parts = {}, {}
+        for i, ((mu, _, f_mu, _), j_mu, lets) in enumerate(zip(levels[-1], js, letters)):
+            kids = _children(mu, d)
+            for lam in kids.values():
+                f[lam] = f.get(lam, 0) + f_mu
+            if all(lam in parts for lam in kids.values()):
+                continue
+            groups = {}  # the rows (a, p) of pi_mu (x) C^d by weight
+            for r, (w, p) in enumerate(itertools.product(lets, range(d))):
+                groups.setdefault(tuple(sorted((*w, p))), []).append(r)
+            found = {}
+            for w, idx in groups.items():
+                vals, vecs = np.linalg.eigh(j_mu[np.ix_(idx, idx)])
+                contents = np.rint(vals)
+                for c, lam in kids.items():
+                    if (keep := contents == c).any():
+                        found.setdefault(lam, []).append((idx, vecs[:, keep], w))
+            for lam, pieces in found.items():
+                parts.setdefault(lam, (i, len(j_mu), pieces))
+        level, letters = [], []
+        for lam, (i, side, pieces) in parts.items():
+            basis = np.zeros((side, sum(v.shape[1] for _, v, _ in pieces)))
+            col = 0
+            for idx, v, _ in pieces:
+                basis[idx, col : col + v.shape[1]] = v
+                col += v.shape[1]
+            basis.setflags(write=False)  # shared by every caller through the cache
+            level.append((lam, i, f[lam], basis))
+            letters.append([w for _, v, w in pieces for _ in range(v.shape[1])])
+        levels.append(level)
+    return levels
 
 
-def _semistandard_words(lam, d: int) -> list:
-    """Entries of the semistandard tableaux of shape lam over 0..d-1 in
-    row-reading order: rows weakly increase, columns strictly increase."""
-    cells = [(i, j) for i, r in enumerate(lam) for j in range(r)]
-    above = {cell: k for k, cell in enumerate(cells)}
-    words, word = [], [0] * len(cells)
-
-    def fill(k):
-        if k == len(cells):
-            words.append(tuple(word))
-            return
-        i, j = cells[k]
-        lo = max(word[k - 1] if j else 0, word[above[i - 1, j]] + 1 if i else 0)
-        for v in range(lo, d):
-            word[k] = v
-            fill(k + 1)
-
-    fill(0)
-    return words
+def _levels(d: int, n: int) -> list:
+    """``_build_levels`` through a cache of the levels of the latest calls:
+    newly built levels join it when their bases fit in ``_BASIS_CACHE_BYTES``,
+    and the least recently used leave until all fit together."""
+    levels = _LEVELS.pop((d, n), None)
+    if levels is None:
+        levels = _build_levels(d, n)
+        if _nbytes(levels) > _BASIS_CACHE_BYTES:
+            return levels
+        while sum(map(_nbytes, [levels, *_LEVELS.values()])) > _BASIS_CACHE_BYTES:
+            del _LEVELS[next(iter(_LEVELS))]
+    _LEVELS[d, n] = levels
+    return levels
 
 
-def _signed_sum(x: np.ndarray, axes, sign: float) -> np.ndarray:
-    """Sum of sign(p) p(x) over the permutations p of the tensor axes ``axes``,
-    grown one axis at a time: S_k = (1 + sign sum_{a<b} (a b)) S_{k-1}."""
-    for k, b in enumerate(axes[1:], start=1):
-        x = x + sign * sum(np.swapaxes(x, a, b) for a in axes[:k])
-    return x
-
-
-@functools.lru_cache(maxsize=64)
-def _young_basis(d: int, n: int, lam: tuple) -> np.ndarray:
-    """Real orthonormal basis, d^n x m_lam, of one copy of the GL(d) irrep
-    pi_lam inside (C^d)^(x)n: the Young symmetrizer c_T = b_T a_T of the
-    row-reading standard tableau T applied to the tensor-basis words of the
-    semistandard tableaux of shape lam, then orthonormalized by QR."""
-    words = _semistandard_words(lam, d)
-    m = len(words)
-    weyl = _weyl_dim(lam, d)
-    assert m == weyl, f"{m} semistandard tableaux of shape {lam}, Weyl dimension {weyl}"
-    x = np.zeros((d**n, m))
-    x[np.ravel_multi_index(np.array(words).T, (d,) * n), np.arange(m)] = 1.0
-    x = x.reshape((d,) * n + (m,))
-    starts = np.cumsum((0, *lam))
-    for s, r in zip(starts, lam):  # a_T: symmetrize each row
-        x = _signed_sum(x, list(range(s, s + r)), 1.0)
-    for j in range(lam[0]):  # b_T: antisymmetrize each column
-        x = _signed_sum(x, [s + j for s, r in zip(starts, lam) if r > j], -1.0)
-    q, r = np.linalg.qr(x.reshape(d**n, m))
-    diag = np.abs(np.diag(r))
-    assert diag.min() > 1e-8 * diag.max(), f"Young symmetrizer of shape {lam} lost rank"
-    q.setflags(write=False)  # shared by every caller through the cache
-    return q
-
-
-@functools.lru_cache(maxsize=64)
-def _basis_columns(d: int, n: int) -> int:
-    """Sum of m_lam over the partitions of n into at most d rows: the columns
-    of the d^n-row Young bases one n-copy call uses."""
-    return sum(_weyl_dim(lam, d) for lam in _partitions(n, d, n))
-
-
-def _power_times(mats: np.ndarray, basis: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
-    """mat^(x)n @ basis for each mat in ``mats`` (shape (k, 1, d, d)), applying
-    it to one tensor factor of the d^n-row basis at a time: n products of cost
-    d^(n+1) m each.  The two rows of ``work`` take the products in turn."""
-    k, d = len(mats), mats.shape[-1]
-    y, spare = (w[: k * basis.size].reshape(k, d**n, -1) for w in work)
-    y[...] = basis
-    for i in range(n):
-        np.matmul(mats, y.reshape(k, d**i, d, -1), out=spare.reshape(k, d**i, d, -1))
-        y, spare = spare, y
-    return y
+def _nbytes(levels: list) -> int:
+    """Bytes of the bases B_lam in ``levels``."""
+    return sum(basis.nbytes for level in levels[1:] for *_, basis in level)
 
 
 def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> float:
@@ -183,43 +178,38 @@ def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> floa
     The n-fold tensor powers commute with permutations of the copies, so by
     Schur-Weyl duality the trace norm splits over partitions lam of n into at
     most d rows: ||rho1^(x)n - rho2^(x)n||_1 = sum_lam f_lam ||pi_lam(rho1) -
-    pi_lam(rho2)||_1, with f_lam the hook-length dimension of the
-    symmetric-group irrep.  Each pi_lam(rho) is taken as B^T rho^(x)n B on a
-    Young-symmetrizer basis B of one copy of the irrep, so no d^n x d^n matrix
-    is formed.  The bases are cached while a call's bases fit in
-    ``_BASIS_CACHE_BYTES``; at n = 1 the norm is that of rho1 - rho2 itself.
+    pi_lam(rho2)||_1, with f_lam the dimension of the symmetric-group irrep.
+    The blocks are built one copy at a time (``_build_levels``):
+    pi_lam(rho) = B_lam^T (pi_mu(rho) (x) rho) B_lam from the block of its
+    parent mu, so no d^n-row array is formed.
     """
     if rho1.dim != rho2.dim:
         raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
     n = check_copies(n, rho1.dim)
-    # at n = 1 the one block, lam = (1), has the identity for its basis
-    norm = trace_norm(rho1.mat - rho2.mat) if n == 1 else _block_norm(rho1.mat, rho2.mat, n)
+    levels = _levels(rho1.dim, n)
+    mats = np.stack((rho1.mat, rho2.mat))
+    # every level holds the pairs (pi_lam(rho1), -pi_lam(rho2)), whose sum is
+    # the block of the difference; the last level sums before its projection
+    blocks = [mats * [[[1.0]], [[-1.0]]]]
+    for level in levels[1:]:
+        last = level is levels[-1]
+        blocks = [_lift(blocks[i], mats, basis, last) for _, i, _, basis in level]
+    norm = sum(f * trace_norm(b.sum(axis=0)) for (_, _, f, _), b in zip(levels[-1], blocks))
     err = 0.5 * (1.0 - 0.5 * norm)
     return float(np.clip(err, 0.0, 0.5))
 
 
-def _block_norm(m1: np.ndarray, m2: np.ndarray, n: int) -> float:
-    """||m1^(x)n - m2^(x)n||_1 as the sum over the Schur-Weyl blocks of
-    ``helstrom_error``."""
-    d = len(m1)
-    # bases too large to keep are built for this call only
-    fits = d**n * _basis_columns(d, n) * 8 <= _BASIS_CACHE_BYTES
-    build = _young_basis if fits else _young_basis.__wrapped__
-    bases = {lam: build(d, n, lam) for lam in _partitions(n, d, n)}
-    mats = np.stack([m1, m2])[:, None]
-    # one pair of work arrays for every block: fresh pages cost as much as
-    # the products that fill them
-    work = np.empty((2, 2 * max(basis.size for basis in bases.values())), dtype=complex)
-    norm = 0.0
-    for lam, basis in bases.items():
-        y = _power_times(mats, basis, n, work)
-        y[0] -= y[1]
-        # B^T (rho1^(x)n - rho2^(x)n) B with the complex entries viewed as
-        # real pairs: one real product
-        block = (basis.T @ y[0].view(np.float64)).view(complex)
-        f_lam = math.factorial(n) // math.prod(_hook_lengths(lam))
-        norm += f_lam * trace_norm(block)
-    return norm
+def _lift(parent: np.ndarray, mats: np.ndarray, basis: np.ndarray, last: bool) -> np.ndarray:
+    """B^T (pi_mu (x) rho) B for each pair of the stacks ``parent`` (the blocks
+    of mu) and ``mats`` (the states), summed over the stack when ``last``: two
+    products on the reshaped basis, then one real product with the complex
+    entries viewed as real pairs."""
+    k, m_mu = parent.shape[:2]
+    y = parent @ basis.reshape(m_mu, -1)
+    y = (mats[:, None] @ y.reshape(k, m_mu, mats.shape[-1], -1)).reshape(k, len(basis), -1)
+    if last:
+        y = y.sum(axis=0, keepdims=True)
+    return (basis.T @ y.view(np.float64)).view(complex)
 
 
 def _overlap_data(rho1: DensityMatrix, rho2: DensityMatrix):

@@ -1,6 +1,8 @@
 """Shared test oracles, all independent of the library code paths they check."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -46,7 +48,12 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 def _directions_to_ops(directions: np.ndarray, dims) -> np.ndarray:
     sig = np.stack([embed(p, dims, 0) for p in PAULIS])
-    return np.einsum("gi,iab->gab", directions, sig)
+    return (directions @ sig.reshape(3, -1)).reshape(len(directions), *sig.shape[1:])
+
+
+def _trace_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr[a_g b_g] for every g of two stacks of matrices."""
+    return np.real(np.sum(a * b.swapaxes(1, 2), axis=(1, 2)))
 
 
 def skew_on_directions(rho: DensityMatrix, directions: np.ndarray) -> np.ndarray:
@@ -61,24 +68,20 @@ def skew_on_directions(rho: DensityMatrix, directions: np.ndarray) -> np.ndarray
     w, v = np.linalg.eigh(rho.mat)
     w = np.where(w > 1e-13, w, 0.0)
     r = (v * np.sqrt(w)) @ v.conj().T
-    rk = np.einsum("ab,gbc->gac", r, k)
-    cross = np.real(np.einsum("gab,gba->g", rk, rk))
-    pk = np.einsum("ab,gbc->gac", rho.mat, k)
-    second = np.real(np.einsum("gab,gba->g", pk, k))
-    return second - cross
+    rk = r @ k
+    return _trace_products(rho.mat @ k, k) - _trace_products(rk, rk)
 
 
 def qfi_quarter_on_directions(rho: DensityMatrix, directions: np.ndarray) -> np.ndarray:
     """F(rho, (n.sigma) x I)/4 for every direction, from the spectral formula."""
     w, v = np.linalg.eigh(rho.mat)
     w = np.maximum(w, 0.0)
-    k = _directions_to_ops(directions, rho.dims)
-    kt = np.einsum("ak,gab,bl->gkl", v.conj(), k, v)
+    kt = v.conj().T @ _directions_to_ops(directions, rho.dims) @ v
     s = w[:, None] + w[None, :]
     diff = w[:, None] - w[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         coeff = np.where(s > 1e-12, diff * diff / np.where(s > 1e-12, s, 1.0), 0.0)
-    return 0.5 * np.einsum("ij,gij->g", coeff, np.abs(kt) ** 2)
+    return 0.5 * (np.abs(kt.reshape(len(kt), -1)) ** 2 @ coeff.ravel())
 
 
 def grid_minimum(values_fn, rho: DensityMatrix, n_points: int = 10_000) -> float:
@@ -185,6 +188,23 @@ def dense_helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -
         bn = np.kron(bn, b)
     err = 0.5 * (1.0 - 0.5 * trace_norm(an - bn))
     return float(np.clip(err, 0.0, 0.5))
+
+
+def hook_lengths(lam) -> list:
+    """Hook length of every cell of the Young diagram lam, row by row."""
+    cols = [sum(1 for r in lam if r > j) for j in range(lam[0])]
+    return [lam[i] - j + cols[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+
+
+def weyl_dim(lam, d: int) -> int:
+    """Dimension of the GL(d) irrep pi_lam, by the hook-content formula."""
+    contents = math.prod(d + j - i for i, r in enumerate(lam) for j in range(r))
+    return contents // math.prod(hook_lengths(lam))
+
+
+def standard_tableaux(lam) -> int:
+    """Dimension f_lam of the symmetric-group irrep, by the hook-length formula."""
+    return math.factorial(sum(lam)) // math.prod(hook_lengths(lam))
 
 
 def dense_grid_mle(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ from helpers import (
     random_hermitian,
     random_kraus_set,
     s_half_lemma_check,
+    standard_tableaux,
     uhlmann_fidelity,
+    weyl_dim,
 )
 
 from metrocorr import discrimination, sim
@@ -40,6 +42,7 @@ from metrocorr.linalg import (
     hermitian_part,
     random_density,
     tensor,
+    trace_norm,
 )
 from metrocorr.manifold import OptimizerConfig
 from metrocorr.states import (
@@ -202,77 +205,101 @@ def test_helstrom_blocks_match_dense_oracle(dims, n_max, kind):
         assert got <= 1e-12
 
 
-def _blocks(d, n):
-    for lam in discrimination._partitions(n, d, n):
-        f_lam = math.factorial(n) // math.prod(discrimination._hook_lengths(lam))
-        yield lam, f_lam, discrimination._young_basis(d, n, lam)
+def _dims(d, n):
+    """(k, [(lam, f_lam, m_lam, B_lam), ...]) for the levels k = 1..n; level 1 has no basis."""
+    for k, level in enumerate(discrimination._levels(d, n), start=1):
+        yield k, [(lam, f, d if basis is None else basis.shape[1], basis) for lam, _, f, basis in level]
 
 
 @pytest.mark.parametrize("d, n", [(2, 6), (3, 4), (4, 3), (4, 5), (6, 3), (9, 2), (5, 1)])
 def test_young_bases_decompose_the_tensor_power(d, n):
-    blocks = list(_blocks(d, n))
-    assert sum(f_lam * basis.shape[1] for _, f_lam, basis in blocks) == d**n
-    if d >= n:  # every partition of n appears: sum f_lam^2 = n!
-        assert sum(f_lam**2 for _, f_lam, _ in blocks) == math.factorial(n)
-    stacked = np.hstack([basis for _, _, basis in blocks])
-    # each basis is orthonormal, and copies of different irreps are orthogonal
-    np.testing.assert_allclose(stacked.T @ stacked, np.eye(stacked.shape[1]), rtol=0, atol=1e-12)
+    for k, blocks in _dims(d, n):
+        assert sum(f * m for _, f, m, _ in blocks) == d**k
+        if d >= k:  # every partition of k appears: sum f_lam^2 = k!
+            assert sum(f**2 for _, f, _, _ in blocks) == math.factorial(k)
+    # each basis is orthonormal, and the bases of one parent's children are orthogonal
+    for level in discrimination._levels(d, n)[1:]:
+        for parent in {i for _, i, _, _ in level}:
+            stacked = np.hstack([basis for _, i, _, basis in level if i == parent])
+            np.testing.assert_allclose(stacked.T @ stacked, np.eye(stacked.shape[1]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d, n", [(2, 5), (3, 3), (4, 3), (6, 2)])
 def test_young_bases_are_invariant_under_tensor_powers(d, n):
+    # B_lam intertwines: (pi_mu(X) (x) X) B_lam = B_lam pi_lam(X) for a complex X
     rng = np.random.default_rng([d, n])
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x /= np.linalg.norm(x, 2)
-    xn = x
-    for _ in range(n - 1):
-        xn = np.kron(xn, x)
-    for _, _, basis in _blocks(d, n):
-        image = xn @ basis
-        np.testing.assert_allclose(image, basis @ (basis.T @ image), rtol=0, atol=1e-12)
+    reps = [x]
+    for level in discrimination._levels(d, n)[1:]:
+        parents, reps = reps, []
+        for _, i, _, basis in level:
+            image = np.kron(parents[i], x) @ basis
+            rep = discrimination._lift(parents[i][None], x[None], basis, False)[0]
+            np.testing.assert_allclose(image, basis @ rep, rtol=0, atol=1e-12)
+            reps.append(rep)
+
+
+@pytest.mark.parametrize("d, n", [(2, 12), (3, 5), (4, 4), (6, 3), (16, 2)])
+def test_level_dimensions_follow_the_hook_formulas(d, n):
+    for _, blocks in _dims(d, n):
+        for lam, f, m, _ in blocks:
+            assert (m, f) == (weyl_dim(lam, d), standard_tableaux(lam)), lam
+
+
+def _pure_pairs(dims, rng, count):
+    return [(random_density(dims, 1, rng), random_density(dims, 1, rng)) for _ in range(count)]
 
 
 def test_helstrom_six_copies_of_two_qubit_pure_states():
     # pure pairs: P_n = (1 - sqrt(1 - F^n)) / 2 with F = |<psi|phi>|^2
     rng = np.random.default_rng(10)
-    pairs = [(make_bell(), bell_rotated(0.6))]
-    pairs += [(random_density([2, 2], 1, rng), random_density([2, 2], 1, rng)) for _ in range(3)]
+    pairs = [(make_bell(), bell_rotated(0.6))] + _pure_pairs([2, 2], rng, 3)
     for a, b in pairs:
         fid = float(np.real(np.trace(a.mat @ b.mat)))
         expect = 0.5 * (1.0 - math.sqrt(1.0 - fid**6))
         assert abs(helstrom_error(a, b, 6) - expect) <= 1e-12
 
 
+def test_helstrom_twelve_copies_of_single_qubit_pure_states():
+    # n = 12 is the deepest recursion the copy guard admits
+    for a, b in _pure_pairs([2], np.random.default_rng(14), 6):
+        fid = float(np.real(np.trace(a.mat @ b.mat)))
+        expect = 0.5 * (1.0 - math.sqrt(1.0 - fid**12))
+        assert abs(helstrom_error(a, b, 12) - expect) <= 1e-12
+
+
 def test_helstrom_one_copy_is_the_block_path_without_a_basis():
     rng = np.random.default_rng(12)
-    discrimination._young_basis.cache_clear()
     for dims in ([2, 2], [2, 3], [3, 3]):
         for rank in (1, 2, 4):
             a = random_density(dims, rank, rng)
             b = random_density(dims, int(rng.integers(1, 5)), rng)
-            block = 0.5 * (1.0 - 0.5 * discrimination._block_norm(a.mat, b.mat, 1))
-            assert helstrom_error(a, b, 1) == float(np.clip(block, 0.0, 0.5))
-    discrimination._young_basis.cache_clear()
-    helstrom_error(a, b, 1)
-    assert discrimination._young_basis.cache_info().currsize == 0
+            expect = 0.5 * (1.0 - 0.5 * trace_norm(a.mat - b.mat))
+            assert helstrom_error(a, b, 1) == float(np.clip(expect, 0.0, 0.5))
+            assert [[basis for *_, basis in level] for level in discrimination._levels(a.dim, 1)] == [[None]]
 
 
 def test_young_basis_cache_keeps_only_bases_within_its_budget(monkeypatch):
-    # one (8,8) call at n = 2 would keep 4096 x (2080 + 2016) floats, 128 MB
-    assert 64**2 * discrimination._basis_columns(64, 2) * 8 > discrimination._BASIS_CACHE_BYTES
     rng = np.random.default_rng(13)
     a, b = random_density([2, 2], 4, rng), random_density([2, 2], 2, rng)
-    discrimination._young_basis.cache_clear()
+    discrimination._LEVELS.clear()
+    small = helstrom_error(a, b, 4)
     expect = helstrom_error(a, b, 5)
-    parts = list(discrimination._partitions(5, 4, 5))
-    assert discrimination._young_basis.cache_info().currsize == len(parts)
-    cached = sum(discrimination._young_basis(4, 5, lam).nbytes for lam in parts)
-    assert cached <= discrimination._BASIS_CACHE_BYTES
-    # with a budget just below them, the same bases serve the call uncached
-    monkeypatch.setattr(discrimination, "_BASIS_CACHE_BYTES", cached - 1)
-    discrimination._young_basis.cache_clear()
+    sizes = {key: discrimination._nbytes(levels) for key, levels in discrimination._LEVELS.items()}
+    assert list(sizes) == [(4, 4), (4, 5)]
+    assert sum(sizes.values()) <= discrimination._BASIS_CACHE_BYTES
+    # a call moves its levels to the most recently used end
+    assert helstrom_error(a, b, 4) == small
+    assert list(discrimination._LEVELS) == [(4, 5), (4, 4)]
+    # new levels that do not fit beside the others drop the least recently used
+    monkeypatch.setattr(discrimination, "_BASIS_CACHE_BYTES", sum(sizes.values()) - 1)
+    helstrom_error(a, b, 3)
+    assert list(discrimination._LEVELS) == [(4, 4), (4, 3)]
+    # levels above the budget on their own serve their call uncached and leave the rest
+    monkeypatch.setattr(discrimination, "_BASIS_CACHE_BYTES", sizes[4, 5] - 1)
     assert helstrom_error(a, b, 5) == expect
-    assert discrimination._young_basis.cache_info().currsize == 0
+    assert list(discrimination._LEVELS) == [(4, 4), (4, 3)]
 
 
 # ---------------------------------------------------------------------------
