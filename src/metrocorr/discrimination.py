@@ -26,11 +26,9 @@ from .linalg import (
     DensityMatrix,
     Observable,
     apply_local,
-    canonical_sign,
     check_integer,
     check_spectrum,
     partial_trace,
-    spin_eig,
     trace_norm,
 )
 from .manifold import (
@@ -40,7 +38,6 @@ from .manifold import (
     minimize_over_unitaries,
     unitary_gradient,
 )
-from .uncertainty import pauli_correlation_matrix
 
 MAX_JOINT_DIM = 4096
 S_TOL = 1e-12
@@ -410,15 +407,15 @@ def ds_pure_harmonic(psi: DensityMatrix, omega: float) -> MeasureResult:
 def ds_qubit_qudit(rho: DensityMatrix, lam: float) -> MeasureResult:
     """Discriminating strength of a qubit-qudit state for spectrum {-lam, lam}:
     the unit-spectrum LQU 1 - lambda_max(W) times sin^2(lam), along the LQU
-    direction (the top eigenvector of the Pauli correlation matrix W)."""
+    direction (the top eigenvector of the Pauli correlation matrix W, shared
+    with ``lqu_qubit_qudit`` through the state's cached ``pauli_axis``)."""
     if not 0.0 < lam <= np.pi / 2.0:
         raise OutOfRange(f"spectral half-width must lie in (0, pi/2], got {lam}")
-    evals, evecs = np.linalg.eigh(pauli_correlation_matrix(rho))
-    direction = canonical_sign(evecs[:, -1])
+    evals, direction, spin = rho.pauli_axis
     unit_lqu = max(1.0 - float(evals[-1]), 0.0)
     return MeasureResult(
         value=unit_lqu * math.sin(lam) ** 2,
-        certificate=Observable(np.array([-lam, lam]), spin_eig(direction).eigenvectors),
+        certificate=Observable(np.array([-lam, lam]), spin.basis_unitary),
         restarts_used=0,
         converged=True,
         info={"unit_lqu": unit_lqu, "direction": direction},

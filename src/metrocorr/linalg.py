@@ -6,6 +6,7 @@ which is exactly the ordering produced by ``np.kron``.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -54,7 +55,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def require_hermitian(m) -> np.ndarray:
     """Validate Hermiticity entrywise and return the symmetrized matrix."""
     a = as_matrix(m)
-    dev = np.max(np.abs(a - a.conj().T))
+    dev = np.abs(a - a.conj().T).max()
     if not dev <= HERM_ATOL:  # a NaN deviation fails this test too
         raise NotHermitian(f"max |M - M^dag| = {dev:.3e} exceeds {HERM_ATOL:.0e}")
     return hermitian_part(a)
@@ -68,9 +69,8 @@ class EigDecomposition:
     eigenvectors: np.ndarray
 
 
-def eig_hermitian(m) -> EigDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = require_hermitian(m)
+def _eigh(a: np.ndarray) -> EigDecomposition:
+    """``np.linalg.eigh`` of a matrix already known to be Hermitian."""
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -78,12 +78,24 @@ def eig_hermitian(m) -> EigDecomposition:
     return EigDecomposition(w, v)
 
 
+def eig_hermitian(m) -> EigDecomposition:
+    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
+    return _eigh(require_hermitian(m))
+
+
+def _state_eig(w: np.ndarray, v: np.ndarray) -> EigDecomposition:
+    # eigenvalues below solver noise are exact zeros (sqrt would otherwise
+    # amplify 1e-16 noise into 1e-8 errors in every measure)
+    return EigDecomposition(np.where(w > 1e-13, w, 0.0), v)
+
+
 @dataclass(eq=False)
 class DensityMatrix:
     """Trace-one PSD Hermitian matrix together with its subsystem dimension split.
 
-    Instances are immutable by convention; the spectral decomposition and the
-    matrix square root are computed once and cached.
+    Instances are immutable by convention; the spectral decomposition, the
+    matrix square root and the qubit-probe ``pauli_axis`` are computed once and
+    cached.  ``validate_density`` hands its own decomposition to the state.
     """
 
     dims: tuple[int, ...]
@@ -100,17 +112,26 @@ class DensityMatrix:
 
     @cached_property
     def eig(self) -> EigDecomposition:
-        # eigenvalues below solver noise are exact zeros (sqrt would otherwise
-        # amplify 1e-16 noise into 1e-8 errors in every measure)
         e = eig_hermitian(self.mat)
-        w = np.where(e.eigenvalues > 1e-13, e.eigenvalues, 0.0)
-        return EigDecomposition(w, e.eigenvectors)
+        return _state_eig(e.eigenvalues, e.eigenvectors)
 
     @cached_property
     def sqrtm(self) -> np.ndarray:
         e = self.eig
         w = np.sqrt(e.eigenvalues)
         return hermitian_part((e.eigenvectors * w) @ e.eigenvectors.conj().T)
+
+    @cached_property
+    def pauli_axis(self) -> tuple[np.ndarray, np.ndarray, Observable]:
+        """For dims (2, d): the ascending eigenvalues of the Pauli correlation
+        matrix W (``pauli_correlation_matrix``), its top eigenvector n with
+        ``canonical_sign``, and the spin observable n . sigma.  The LQU and DS
+        closed forms share this one solve; the arrays are read-only."""
+        evals, evecs = np.linalg.eigh(pauli_correlation_matrix(self))
+        direction = canonical_sign(evecs[:, -1])
+        evals.setflags(write=False)
+        direction.setflags(write=False)
+        return evals, direction, Observable.pauli(direction)
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
@@ -124,26 +145,31 @@ def validate_density(m, dims: Sequence[int]) -> DensityMatrix:
 
     Eigenvalues below -1e-8 raise NotPositive; negative values above that
     threshold are treated as rounding noise, clamped to zero, and the state is
-    renormalized to unit trace.
+    renormalized to unit trace.  The returned state carries this
+    eigendecomposition, renormalized, as its ``eig``.
     """
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DimMismatch(f"subsystem dimensions must be positive, got {dims}")
     a = require_hermitian(m)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     if a.shape[0] != side:
         raise DimMismatch(f"matrix side {a.shape[0]} != product(dims) = {side}")
-    tr = float(np.real(np.trace(a)))
+    tr = float(a.trace().real)
     if abs(tr - 1.0) > TRACE_ATOL:
         raise NotUnitTrace(f"trace = {tr!r} deviates from 1 by more than {TRACE_ATOL:.0e}")
-    e = eig_hermitian(a)
+    e = _eigh(a)
     wmin = float(e.eigenvalues[0])
     if wmin < EIG_HARD_FLOOR:
         raise NotPositive(f"eigenvalue {wmin:.3e} below {EIG_HARD_FLOOR:.0e}")
     w = np.maximum(e.eigenvalues, 0.0)
+    total = w.sum()
     mat = (e.eigenvectors * w) @ e.eigenvectors.conj().T
-    mat = hermitian_part(mat / np.sum(w))
-    return DensityMatrix(dims, mat)
+    rho = DensityMatrix(dims, hermitian_part(mat / total))
+    # the rebuilt matrix has this decomposition up to rounding, so the state
+    # starts with it cached instead of solving again
+    rho.eig = _state_eig(w / total, e.eigenvectors)
+    return rho
 
 
 def pure_density(vec, dims: Sequence[int]) -> DensityMatrix:
@@ -210,6 +236,18 @@ def pair_form(rho: DensityMatrix, weights: np.ndarray, site: int = 0) -> np.ndar
     b = np.einsum("ajk,bjl->abkl", v.conj(), v)
     left = (b * weights).reshape(d * d, -1)
     return 0.5 * left @ b.swapaxes(2, 3).reshape(d * d, -1).T
+
+
+def pauli_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
+    """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]:
+    the cross tensor T_abcd = tr[sqrt(rho) (E_ab x I) sqrt(rho) (E_cd x I)]
+    contracted with the flattened Paulis, Re(P T P^T)."""
+    if len(rho.dims) != 2 or rho.dims[0] != 2:
+        raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
+    r4 = rho.sqrtm.reshape(rho.dims + rho.dims)
+    t_cross = np.einsum("djai,bicj->abcd", r4, r4).reshape(4, 4)
+    p = PAULIS.reshape(3, 4)
+    return np.real(p @ t_cross @ p.T)
 
 
 def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
@@ -294,9 +332,9 @@ def check_spectrum(spectrum, d: int) -> np.ndarray:
     lam = np.sort(np.asarray(spectrum, dtype=float).reshape(-1))
     if lam.size != d:
         raise DimMismatch(f"spectrum length {lam.size} != measured-subsystem dimension {d}")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ValidationError(f"spectrum entries must be finite, got {lam}")
-    if lam.size > 1 and np.min(np.diff(lam)) < SPECTRUM_GAP:
+    if lam.size > 1 and (lam[1:] - lam[:-1]).min() < SPECTRUM_GAP:
         raise DegenerateSpectrum("spectrum gaps below 1e-9 are not allowed")
     return lam
 
@@ -322,8 +360,8 @@ class Observable:
             )
         u = u[:, np.argsort(lam)]
         lam = check_spectrum(lam, lam.size)
-        dev = np.max(np.abs(u.conj().T @ u - np.eye(lam.size)))
-        if dev > UNITARY_ATOL:
+        dev = np.abs(u.conj().T @ u - np.eye(lam.size)).max()
+        if not dev <= UNITARY_ATOL:  # a NaN deviation fails this test too
             raise NotUnitary(f"basis deviates from unitarity by {dev:.3e}")
         self.spectrum = lam
         self.basis_unitary = u
@@ -346,8 +384,14 @@ class Observable:
 
     @classmethod
     def pauli(cls, direction) -> "Observable":
-        """Spin observable n . sigma with unit spectrum {-1, +1}."""
-        e = spin_eig(direction)
+        """Spin observable n . sigma with unit spectrum {-1, +1}, for n the
+        normalized 3-vector ``direction``."""
+        n = np.asarray(direction, dtype=float).reshape(3)
+        norm = np.linalg.norm(n)
+        if not (np.isfinite(norm) and norm > 0):
+            raise OutOfRange(f"direction must be a finite nonzero 3-vector, got {n}")
+        # n . sigma for a finite unit n is Hermitian by construction
+        e = _eigh(pauli_vector(n / norm))
         return cls(e.eigenvalues, e.eigenvectors)
 
 
@@ -355,13 +399,3 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     """The vector v or -v, whichever has its largest-magnitude component
     positive: eigh leaves an eigenvector's sign to rounding noise."""
     return -v if v[abs(v).argmax()] < 0 else v
-
-
-def spin_eig(direction) -> EigDecomposition:
-    """Eigendecomposition of n . sigma for the normalized 3-vector n; its
-    eigenvectors are the basis of ``Observable.pauli(n)``."""
-    n = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise OutOfRange("direction must be a nonzero 3-vector")
-    return eig_hermitian(pauli_vector(n / norm))

@@ -14,15 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatch
-from .linalg import (
-    PAULIS,
-    DensityMatrix,
-    Observable,
-    canonical_sign,
-    check_operator,
-    check_spectrum,
-    pair_form,
-)
+from .linalg import DensityMatrix, Observable, check_operator, check_spectrum, pair_form
 from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries, quadratic_cost
 
 
@@ -61,28 +53,14 @@ def hellinger_sq(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(np.clip(1.0 - overlap, 0.0, 1.0))
 
 
-def pauli_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]:
-    the cross tensor T_abcd = tr[sqrt(rho) (E_ab x I) sqrt(rho) (E_cd x I)]
-    contracted with the flattened Paulis, Re(P T P^T)."""
-    if len(rho.dims) != 2 or rho.dims[0] != 2:
-        raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
-    r4 = rho.sqrtm.reshape(rho.dims + rho.dims)
-    t_cross = np.einsum("djai,bicj->abcd", r4, r4).reshape(4, 4)
-    p = PAULIS.reshape(3, 4)
-    return np.real(p @ t_cross @ p.T)
-
-
 def lqu_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
     """LQU of a qubit-qudit state with unit spectrum: 1 - lambda_max of the
-    Pauli correlation matrix; the certificate is the optimal spin direction."""
-    pauli_w = pauli_correlation_matrix(rho)
-    evals, evecs = np.linalg.eigh(pauli_w)
-    direction = canonical_sign(evecs[:, -1])
-    value = 1.0 - float(evals[-1])
+    Pauli correlation matrix; the certificate is the optimal spin direction
+    (both from the state's cached ``pauli_axis``)."""
+    evals, direction, spin = rho.pauli_axis
     return MeasureResult(
-        value=value,
-        certificate=Observable.pauli(direction),
+        value=1.0 - float(evals[-1]),
+        certificate=spin,
         restarts_used=0,
         converged=True,
         info={"direction": direction, "w_eigenvalues": evals},

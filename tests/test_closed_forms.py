@@ -14,12 +14,20 @@ import pytest
 
 from helpers import fibonacci_sphere, qfi_quarter_on_directions, skew_on_directions
 
-from metrocorr import discrimination, fisher, uncertainty
+from metrocorr import fisher, linalg
 from metrocorr.discrimination import ds_qubit_qudit
+from metrocorr.errors import DegenerateSpectrum
 from metrocorr.fisher import ip_qubit_qudit, quadratic_form_matrix
-from metrocorr.linalg import PAULIS, embed, random_density
+from metrocorr.linalg import (
+    PAULIS,
+    DensityMatrix,
+    embed,
+    pauli_correlation_matrix,
+    random_density,
+    validate_density,
+)
 from metrocorr.states import random_cq
-from metrocorr.uncertainty import lqu_qubit_qudit, pauli_correlation_matrix
+from metrocorr.uncertainty import lqu_qubit_qudit
 
 DIRECTIONS = fibonacci_sphere(50)
 CASES = [(d_b, rank) for d_b in range(1, 6) for rank in range(1, 2 * d_b + 1)]
@@ -104,12 +112,37 @@ def test_certificate_direction_ignores_rounding_noise(monkeypatch, d_b):
         want = [lqu_qubit_qudit(cq), ds_qubit_qudit(cq, 0.7), ip_qubit_qudit(pure)]
         for _ in range(4):
             noisy_w, noisy_m = _noisy(w, rng), _noisy(m, rng)
-            monkeypatch.setattr(uncertainty, "pauli_correlation_matrix", lambda rho: noisy_w)
-            monkeypatch.setattr(discrimination, "pauli_correlation_matrix", lambda rho: noisy_w)
+            monkeypatch.setattr(linalg, "pauli_correlation_matrix", lambda rho: noisy_w)
             monkeypatch.setattr(fisher, "quadratic_form_matrix", lambda rho: noisy_m)
-            got = [lqu_qubit_qudit(cq), ds_qubit_qudit(cq, 0.7), ip_qubit_qudit(pure)]
+            # a fresh state each draw: the cached axis of cq holds the noiseless W
+            noisy_cq = DensityMatrix(cq.dims, cq.mat)
+            got = [lqu_qubit_qudit(noisy_cq), ds_qubit_qudit(noisy_cq, 0.7), ip_qubit_qudit(pure)]
+            np.testing.assert_array_equal(got[0].info["w_eigenvalues"], np.linalg.eigh(noisy_w)[0])
             for g, r in zip(got, want):
                 for x, y in ((g.info["direction"], r.info["direction"]),
                              (g.certificate.matrix, r.certificate.matrix)):
                     np.testing.assert_allclose(x, y, rtol=0, atol=1e-9)
         monkeypatch.undo()
+
+
+def test_lqu_and_ds_share_one_w_solve(monkeypatch):
+    rho = validate_density(random_density((2, 3), 4, np.random.default_rng(5)).mat, (2, 3))
+    built = []
+    real = linalg.pauli_correlation_matrix
+
+    def counted(state):
+        built.append(state)
+        return real(state)
+
+    monkeypatch.setattr(linalg, "pauli_correlation_matrix", counted)
+    lqu = lqu_qubit_qudit(rho)
+    ds = ds_qubit_qudit(rho, 0.9)
+    assert built == [rho]
+    assert ds.info["direction"] is lqu.info["direction"]
+    # the shared arrays are read-only, so no result can alter another's
+    assert not lqu.info["direction"].flags.writeable
+    assert not lqu.info["w_eigenvalues"].flags.writeable
+    # DS still builds its own certificate, with the constructor's gap check
+    with pytest.raises(DegenerateSpectrum):
+        ds_qubit_qudit(rho, 1e-10)
+    assert built == [rho]

@@ -10,6 +10,7 @@ from metrocorr.errors import (
     NotHermitian,
     NotPositive,
     NotUnitTrace,
+    OutOfRange,
     ValidationError,
 )
 from metrocorr.linalg import (
@@ -70,6 +71,37 @@ def test_validate_density_rejects_non_finite(value, entry):
         validate_density(m, [2])
     with pytest.raises(ValidationError):
         DensityMatrix((2,), m).eig
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dims, rank", [((2,), 1), ((2, 3), 6), ((2, 3), 2), ((3, 3), 4)])
+def test_validated_state_carries_its_eigendecomposition(monkeypatch, dims, rank):
+    m = random_density(dims, rank, np.random.default_rng(rank)).mat
+    calls = _count_eigh(monkeypatch)
+    rho = validate_density(m, dims)
+    assert len(calls) == 1
+    e = rho.eig
+    assert len(calls) == 1
+    monkeypatch.undo()
+    ref = eig_hermitian(rho.mat)
+    ref_w = np.where(ref.eigenvalues > 1e-13, ref.eigenvalues, 0.0)
+    np.testing.assert_allclose(e.eigenvalues, ref_w, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(reconstruct(e), rho.mat, rtol=0, atol=1e-14)
+    # the clamp keeps rank-deficient spectra exact zeros, as a direct solve does
+    assert np.count_nonzero(e.eigenvalues) == np.count_nonzero(ref_w) == rank
+    v = e.eigenvectors
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(rho.dim), rtol=0, atol=1e-14)
 
 
 def test_validate_density_rejects_bad_trace():
@@ -304,6 +336,25 @@ def test_check_spectrum_rejects_non_finite(bad):
         check_spectrum([bad, 1.0], 2)
     with pytest.raises(ValidationError):
         Observable(np.array([bad, 1.0]), np.eye(2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observable_pauli_rejects_non_finite_direction(bad):
+    with pytest.raises(OutOfRange, match="finite nonzero"):
+        Observable.pauli([bad, 0.0, 0.0])
+    with pytest.raises(OutOfRange):
+        Observable.pauli([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+def test_observable_rejects_non_finite_basis(entry):
+    from metrocorr.errors import NotUnitary
+
+    u = np.eye(2, dtype=complex)
+    u[entry] = np.nan
+    with pytest.raises(NotUnitary):
+        Observable(np.array([-1.0, 1.0]), u)
 
 
 def test_observable_pauli_direction():
