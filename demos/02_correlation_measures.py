@@ -9,6 +9,7 @@
 import numpy as np
 
 from metrocorr import (
+    correlation,
     ds_qubit_qudit,
     ip_qubit_qudit,
     lqu_general,
@@ -44,3 +45,13 @@ res = lqu_general(make_werner(0.5), [-1.0, 1.0])
 print("\nOptimizer on Werner(0.5):", f"value {res.value:.6f},",
       f"{res.restarts_used} restarts, converged {res.converged}")
 print("Closed form:             ", f"value {lqu_qubit_qudit(make_werner(0.5)).value:.6f}")
+
+# On a qubit probe every two-point spectrum {a, b} has a closed form: the
+# unit-spectrum value times ((b - a)/2)^2 for LQU, and for DS the half-width
+# (b - a)/2 at any size, past pi/2 too.  general=True forces the optimizer.
+rho = make_werner(0.5)
+for label, args in (("LQU, spectrum {0.3, 2.0}", ("lqu", rho, [0.3, 2.0])),
+                    ("DS, half-width 2.0", ("ds", rho, None, 2.0))):
+    closed, searched = correlation(*args), correlation(*args, general=True)
+    print(f"{label:<24}: closed form {closed.value:.6f} ({closed.restarts_used} restarts),",
+          f"optimizer {searched.value:.6f} ({searched.restarts_used} restarts)")

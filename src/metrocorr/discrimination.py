@@ -405,18 +405,16 @@ def ds_pure_harmonic(psi: DensityMatrix, omega: float) -> MeasureResult:
 
 
 def ds_qubit_qudit(rho: DensityMatrix, lam: float) -> MeasureResult:
-    """Discriminating strength of a qubit-qudit state for spectrum {-lam, lam}:
-    the unit-spectrum LQU 1 - lambda_max(W) times sin^2(lam), along the LQU
-    direction (the top eigenvector of the Pauli correlation matrix W, shared
-    with ``lqu_qubit_qudit`` through the state's cached ``pauli_axis``)."""
-    if not 0.0 < lam <= np.pi / 2.0:
-        raise OutOfRange(f"spectral half-width must lie in (0, pi/2], got {lam}")
+    """Discriminating strength of a qubit-qudit state for spectrum {-lam, lam},
+    any finite lam > 0: the unit-spectrum LQU times sin^2(lam), along the LQU
+    direction (shared with ``lqu_qubit_qudit`` through the state's cached
+    ``pauli_axis``)."""
+    if not 0.0 < lam < math.inf:  # NaN fails this test too
+        raise OutOfRange(f"spectral half-width must be finite and positive, got {lam}")
     evals, direction, spin = rho.pauli_axis
-    unit_lqu = max(1.0 - float(evals[-1]), 0.0)
+    unit_lqu = max(float(evals[0]), 0.0)
     return MeasureResult(
         value=unit_lqu * math.sin(lam) ** 2,
         certificate=Observable(np.array([-lam, lam]), spin.basis_unitary),
-        restarts_used=0,
-        converged=True,
         info={"unit_lqu": unit_lqu, "direction": direction},
     )

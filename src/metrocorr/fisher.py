@@ -6,11 +6,10 @@ The quantum Fisher information is computed from the state eigendecomposition,
     F(rho, H) = 4 sum_{k<l} (w_k - w_l)^2 / (w_k + w_l) |<k|H|l>|^2,
 
 skipping eigenvalue pairs whose sum is numerically zero.  The interferometric
-power is min over local generators of F/4; for a qubit probe it reduces to the
-smallest eigenvalue of a 3x3 quadratic form, built from the Paulis in the
-state eigenbasis by ``apply_local`` (no Kronecker product); for a general
-generator the optimizer minimizes F/4 as a pair-weighted form over the same
-eigenbasis (``pair_form``).
+power is min over local generators of F/4, a pair-weighted form over the
+state eigenbasis (``pair_form``).  For a qubit probe that form compressed onto
+the Paulis (``linalg.qubit_form``, shared with the LQU) is 3x3 and its smallest
+eigenvalue is the value; for a general generator the optimizer minimizes F/4.
 """
 from __future__ import annotations
 
@@ -26,17 +25,16 @@ from .errors import (
     ZeroInformation,
 )
 from .linalg import (
-    PAULIS,
     DensityMatrix,
     Observable,
-    apply_local,
     as_matrix,
-    canonical_sign,
     check_operator,
     check_spectrum,
     embed,
     hermitian_part,
     pair_form,
+    qubit_axis,
+    qubit_form,
 )
 from .manifold import MeasureResult, OptimizerConfig, minimize_over_unitaries, quadratic_cost
 
@@ -167,36 +165,10 @@ def cramer_rao(fisher_value: float, n: int = 1) -> float:
     return 1.0 / (n * fisher_value)
 
 
-def quadratic_form_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix M with n.M.n = F(rho, (n.sigma) x I)/4, from the state spectrum.
-
-    M_mn = (1/2) sum_kl coeff_kl A^m_kl conj(A^n_kl) with
-    A^m = V^dag (sigma_m x I) V = ((sigma_m x I) V)^dag V, where the product
-    (sigma_m x I) V comes from ``apply_local`` (no Kronecker product).
-    """
-    if len(rho.dims) != 2 or rho.dims[0] != 2:
-        raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
-    e = rho.eig
-    v = e.eigenvectors
-    coeff = _qfi_weights(e.eigenvalues)
-    a = np.ascontiguousarray(apply_local(PAULIS, v).conj().swapaxes(1, 2)) @ v
-    m = 0.5 * np.einsum("ij,mij,nij->mn", coeff, a, a.conj())
-    return np.real(hermitian_part(m))
-
-
 def ip_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
-    """Interferometric power of a qubit-qudit state with unit spectrum:
-    the smallest eigenvalue of the sensitivity quadratic form."""
-    m = quadratic_form_matrix(rho)
-    evals, evecs = np.linalg.eigh(m)
-    direction = canonical_sign(evecs[:, 0])
-    return MeasureResult(
-        value=float(evals[0]),
-        certificate=Observable.pauli(direction),
-        restarts_used=0,
-        converged=True,
-        info={"direction": direction, "m_eigenvalues": evals},
-    )
+    """Interferometric power of a qubit-qudit state with unit spectrum: the
+    bottom of the Fisher ``qubit_form``, n.B.n = F(rho, (n.sigma) x I)/4."""
+    return MeasureResult.from_axis(qubit_axis(qubit_form(rho, _qfi_weights(rho.eig.eigenvalues))))
 
 
 def ip_general(

@@ -33,6 +33,7 @@ TRACE_ATOL = 1e-8
 EIG_HARD_FLOOR = -1e-8
 UNITARY_ATOL = 1e-10
 SPECTRUM_GAP = 1e-9
+DEGENERATE_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -94,8 +95,8 @@ class DensityMatrix:
     """Trace-one PSD Hermitian matrix together with its subsystem dimension split.
 
     Instances are immutable by convention; the spectral decomposition, the
-    matrix square root and the qubit-probe ``pauli_axis`` are computed once and
-    cached.  ``validate_density`` hands its own decomposition to the state.
+    matrix square root and the qubit-probe ``pauli_blocks`` and ``pauli_axis``
+    are computed once and cached.  ``validate_density`` hands its own decomposition to the state.
     """
 
     dims: tuple[int, ...]
@@ -121,17 +122,24 @@ class DensityMatrix:
         w = np.sqrt(e.eigenvalues)
         return hermitian_part((e.eigenvectors * w) @ e.eigenvectors.conj().T)
 
+    @property
+    def skew_weights(self) -> np.ndarray:
+        """Pair weights (sqrt(p_k) - sqrt(p_l))^2 of the skew information."""
+        root = np.sqrt(self.eig.eigenvalues)
+        return (root[:, None] - root[None, :]) ** 2
+
+    @cached_property
+    def pauli_blocks(self) -> np.ndarray:
+        """For dims (2, d): the stack A^m = V^dag (sigma_m x I) V over the
+        Paulis, V the eigenvectors, by ``apply_local`` (no Kronecker product)."""
+        v = self.eig.eigenvectors
+        return np.ascontiguousarray(apply_local(PAULIS, v).conj().swapaxes(1, 2)) @ v
+
     @cached_property
     def pauli_axis(self) -> tuple[np.ndarray, np.ndarray, Observable]:
-        """For dims (2, d): the ascending eigenvalues of the Pauli correlation
-        matrix W (``pauli_correlation_matrix``), its top eigenvector n with
-        ``canonical_sign``, and the spin observable n . sigma.  The LQU and DS
-        closed forms share this one solve; the arrays are read-only."""
-        evals, evecs = np.linalg.eigh(pauli_correlation_matrix(self))
-        direction = canonical_sign(evecs[:, -1])
-        evals.setflags(write=False)
-        direction.setflags(write=False)
-        return evals, direction, Observable.pauli(direction)
+        """For dims (2, d): ``qubit_axis`` of the skew-information
+        ``qubit_form``, which the LQU and DS closed forms share."""
+        return qubit_axis(qubit_form(self, self.skew_weights))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
@@ -238,16 +246,44 @@ def pair_form(rho: DensityMatrix, weights: np.ndarray, site: int = 0) -> np.ndar
     return 0.5 * left @ b.swapaxes(2, 3).reshape(d * d, -1).T
 
 
-def pauli_correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 symmetric matrix tr[sqrt(rho) (sigma_i x I) sqrt(rho) (sigma_j x I)]:
-    the cross tensor T_abcd = tr[sqrt(rho) (E_ab x I) sqrt(rho) (E_cd x I)]
-    contracted with the flattened Paulis, Re(P T P^T)."""
+def qubit_form(rho: DensityMatrix, weights: np.ndarray) -> np.ndarray:
+    """``pair_form`` of a (2, d) state compressed onto the Paulis: the 3x3
+    symmetric B with n.B.n = 1/2 sum_kl weights_kl |<k|(n.sigma) x I|l>|^2,
+    from the state's cached ``pauli_blocks`` A^m, so forms of one state with
+    other weights cost one contraction each.
+    """
     if len(rho.dims) != 2 or rho.dims[0] != 2:
         raise DimMismatch(f"closed form needs dims (2, d), got {rho.dims}")
-    r4 = rho.sqrtm.reshape(rho.dims + rho.dims)
-    t_cross = np.einsum("djai,bicj->abcd", r4, r4).reshape(4, 4)
-    p = PAULIS.reshape(3, 4)
-    return np.real(p @ t_cross @ p.T)
+    a = rho.pauli_blocks
+    b = 0.5 * np.einsum("ij,mij,nij->mn", weights, a, a.conj())
+    return np.real(hermitian_part(b))
+
+
+def qubit_axis(form: np.ndarray) -> tuple[np.ndarray, np.ndarray, Observable]:
+    """The ascending eigenvalues of a 3x3 ``qubit_form`` B, a unit n
+    minimising n.B.n, and the spin observable n . sigma (arrays read-only).
+
+    Bottom eigenvalues within ``DEGENERATE_TOL`` * max(1, |lowest|) form one
+    eigenspace.  A simple one gives its eigenvector with ``canonical_sign``, a
+    threefold one e_z, a pair the first of e_z, e_x, e_y whose projection onto
+    it has squared norm >= 1/3 (the three sum to 2), normalised: projections,
+    unlike eigenvectors, are continuous in B, so rounding cannot move n.
+    """
+    evals, evecs = np.linalg.eigh(form)
+    lowest = float(evals[0])
+    tol = DEGENERATE_TOL * max(1.0, abs(lowest))
+    if evals[1] - lowest > tol:
+        direction = canonical_sign(evecs[:, 0])
+    elif evals[2] - lowest <= tol:
+        direction = np.array([0.0, 0.0, 1.0])
+    else:
+        pair = evecs[:, :2]
+        axis = next(i for i in (2, 0, 1) if pair[i] @ pair[i] >= 1.0 / 3.0)
+        direction = pair @ pair[axis]
+        direction /= np.linalg.norm(direction)
+    evals.setflags(write=False)
+    direction.setflags(write=False)
+    return evals, direction, Observable.pauli(direction)
 
 
 def _ptrace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

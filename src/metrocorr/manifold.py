@@ -68,6 +68,13 @@ class MeasureResult:
         if -1e-9 < self.value < 0.0:
             self.value = 0.0
 
+    @classmethod
+    def from_axis(cls, axis) -> "MeasureResult":
+        """A unit-spectrum qubit closed form from ``linalg.qubit_axis``: the
+        bottom eigenvalue, certified by the spin observable along it."""
+        evals, direction, spin = axis
+        return cls(float(evals[0]), spin, info={"direction": direction, "form_eigenvalues": evals})
+
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes (batched)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,22 +120,30 @@ def correlation(
 ) -> MeasureResult:
     """LQU, IP or DS of a bipartite state, by closed form or by the optimizer.
 
-    A qubit probe (d_A = 2) with no spectrum given and ``general`` unset takes
-    the closed form (DS with spectrum {-lam, lam}).  Every other case runs the
-    ``*_general`` search with the given spectrum, or by default the linear
-    spectrum on d_A values (times lam for DS).
+    The spectrum defaults to the linear one on d_A values (times lam for DS).
+    A qubit probe with ``general`` unset takes the closed form at half-width
+    (b - a)/2 of its spectrum {a, b}, with a given spectrum as the
+    certificate's; every other case runs the ``*_general`` search.
     """
     if name not in CORRELATIONS:
         raise OutOfRange(f"unknown measure {name!r}; known: {', '.join(CORRELATIONS)}")
-    if spectrum is None and not general and len(rho.dims) == 2 and rho.dims[0] == 2:
-        if name == "ds":
-            return ds_qubit_qudit(rho, lam)
-        return lqu_qubit_qudit(rho) if name == "lqu" else ip_qubit_qudit(rho)
-    if spectrum is None:
+    given = spectrum is not None
+    if not given:
         spectrum = linear_spectrum(rho.dims[0]) * (lam if name == "ds" else 1.0)
-    # looked up at call time, so that rebinding a measure's name takes effect
-    search = {"lqu": lqu_general, "ip": ip_general, "ds": ds_general}[name]
-    return search(rho, spectrum, config)
+    if general or len(rho.dims) != 2 or rho.dims[0] != 2:
+        # looked up at call time, so that rebinding a measure's name takes effect
+        search = {"lqu": lqu_general, "ip": ip_general, "ds": ds_general}[name]
+        return search(rho, spectrum, config)
+    a, b = check_spectrum(spectrum, 2)
+    half = 0.5 * (b - a)
+    if name == "ds":
+        res = ds_qubit_qudit(rho, half)
+    else:  # LQU and IP are quadratic in the observable
+        res = (lqu_qubit_qudit if name == "lqu" else ip_qubit_qudit)(rho)
+        res = replace(res, value=res.value * half**2)
+    if given:
+        res = replace(res, certificate=Observable([a, b], res.certificate.basis_unitary))
+    return res
 
 
 def _resolve_generator(cfg: EstimationConfig):

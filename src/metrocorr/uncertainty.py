@@ -4,10 +4,11 @@ The skew information I(rho, O) = tr[rho O^2] - tr[sqrt(rho) O sqrt(rho) O]
 isolates the genuinely quantum part of the measurement variance: it vanishes
 exactly when the state and the observable commute and equals the variance on
 pure states.  The LQU is its minimum over local observables with a fixed
-non-degenerate spectrum, a discord-like correlation measure.  For a qubit
-probe with unit spectrum it is 1 - lambda_max(W), W the 3x3 Pauli correlation
-matrix of sqrt(rho); other cases run the manifold optimizer on the skew
-information as a pair-weighted form over the eigenbasis of rho.
+non-degenerate spectrum, a discord-like correlation measure.  In the
+eigenbasis of rho the skew information is a pair-weighted form
+(``pair_form``).  For a qubit probe that form compressed onto the Paulis
+(``linalg.qubit_form``, shared with the IP) is 3x3 and its smallest eigenvalue
+is the LQU with unit spectrum; other cases run the manifold optimizer.
 """
 from __future__ import annotations
 
@@ -54,17 +55,10 @@ def hellinger_sq(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 
 def lqu_qubit_qudit(rho: DensityMatrix) -> MeasureResult:
-    """LQU of a qubit-qudit state with unit spectrum: 1 - lambda_max of the
-    Pauli correlation matrix; the certificate is the optimal spin direction
-    (both from the state's cached ``pauli_axis``)."""
-    evals, direction, spin = rho.pauli_axis
-    return MeasureResult(
-        value=1.0 - float(evals[-1]),
-        certificate=spin,
-        restarts_used=0,
-        converged=True,
-        info={"direction": direction, "w_eigenvalues": evals},
-    )
+    """LQU of a qubit-qudit state with unit spectrum: the bottom of the skew
+    ``qubit_form``, n.B.n = I(rho, (n.sigma) x I), from the state's cached
+    ``pauli_axis``."""
+    return MeasureResult.from_axis(rho.pauli_axis)
 
 
 def lqu_general(
@@ -90,8 +84,7 @@ def lqu_general(
     d = rho.dims[site]
     lam = check_spectrum(spectrum, d)
 
-    root = np.sqrt(rho.eig.eigenvalues)
-    form = pair_form(rho, (root[:, None] - root[None, :]) ** 2, site)
+    form = pair_form(rho, rho.skew_weights, site)
 
     def cost(u: np.ndarray):
         return quadratic_cost(form, u, lam)

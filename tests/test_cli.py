@@ -69,11 +69,31 @@ def test_measure_qutrit_probe_runs_optimizer(tmp_path, capsys, name, search, sca
     assert "restarts 3\n" in out
 
 
-def test_measure_spectrum_runs_optimizer(bell_file, capsys):
+def test_measure_spectrum_takes_closed_form(bell_file, capsys):
     assert main(["measure", "--lqu", "--spectrum=-0.5,0.5", "--restarts", "3", bell_file]) == 0
     out = capsys.readouterr().out
     assert "value 0.250000" in out
-    assert "restarts 3" in out
+    assert "restarts 0" in out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lqu", "--spectrum", "0.3,2"],
+    ["--ip", "--spectrum", "0.3,2"],
+    ["--ds", "--spectrum", "0.3,2"],
+    ["--ds", "--lambda", "2.0"],
+])
+def test_measure_qubit_probe_closed_form_matches_general(tmp_path, capsys, flags):
+    path = tmp_path / "r23.json"
+    save_state(random_density((2, 3), 5, np.random.default_rng(41)), path)
+    values = {}
+    for extra in ([], ["--general"]):
+        out = tmp_path / f"res{len(extra)}.json"
+        assert main(["measure", *flags, *extra, str(path), "--json", str(out)]) == 0
+        values[bool(extra)] = json.loads(out.read_text())
+    assert values[False]["restarts"] == 0
+    assert values[True]["restarts"] == 16
+    assert abs(values[False]["value"] - values[True]["value"]) <= 1e-10
+    capsys.readouterr()
 
 
 def test_measure_non_finite_spectrum_exits_2(bell_file, capsys):

@@ -603,10 +603,12 @@ def test_ds_qubit_qudit_cq_zero_all_lambda():
 
 
 def test_ds_qubit_qudit_range_guard():
-    with pytest.raises(OutOfRange):
-        ds_qubit_qudit(make_bell(), 2.0)
-    with pytest.raises(OutOfRange):
-        ds_qubit_qudit(make_bell(), 0.0)
+    # every finite half-width > 0 has a closed form, past pi/2 as well
+    bell = make_bell()
+    assert abs(ds_qubit_qudit(bell, 2.0).value - ds_general(bell, [-2.0, 2.0]).value) <= 1e-10
+    for lam in (0.0, -0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange):
+            ds_qubit_qudit(bell, lam)
 
 
 # ---------------------------------------------------------------------------

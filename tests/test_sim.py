@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from helpers import dense_grid_mle
 
-from metrocorr import sim
+from metrocorr import discrimination, fisher, sim, uncertainty
 
 from metrocorr.discrimination import ds_qubit_qudit
 from metrocorr.errors import DegenerateGrid, OutOfRange, TooManyCopies, ZeroInformation
 from metrocorr.fisher import ip_general
-from metrocorr.linalg import Observable, linear_spectrum, random_density
+from metrocorr.linalg import Observable, embed, linear_spectrum, random_density
 from metrocorr.manifold import OptimizerConfig
 from metrocorr.sim import (
     EstimationConfig,
@@ -18,7 +18,8 @@ from metrocorr.sim import (
     run_phase_estimation,
     sweep_states,
 )
-from metrocorr.states import make_bell, make_cq, random_cq
+from metrocorr.states import load_state, make_bell, make_cq, make_werner, random_cq, save_state
+from metrocorr.uncertainty import skew_information
 
 
 SZ = Observable.pauli([0, 0, 1.0])
@@ -73,6 +74,20 @@ def test_phase_estimation_records_the_path_taken():
     rec = run_phase_estimation(bell_config(trials=20))
     assert rec.config["worst_case"] is False
     assert "interferometric_power" not in rec.summary
+
+
+def test_worst_case_record_on_a_degenerate_optimum_is_the_sigma_z_record(tmp_path):
+    # every direction is IP-optimal on Werner 0.6; the certificate is sigma_z
+    # whether the state is built here or loaded from a file, so the worst-case
+    # record is the one a fixed sigma_z generator gives on the same state
+    werner = make_werner(0.6)
+    save_state(werner, tmp_path / "w.json")
+    kw = dict(theta0=0.25, n_per_trial=300, trials=40, seed=11)
+    for state in (werner, load_state(tmp_path / "w.json")):
+        worst = run_phase_estimation(EstimationConfig(state=state, worst_case=True, **kw))
+        fixed = run_phase_estimation(EstimationConfig(state=state, generator=SZ, **kw))
+        np.testing.assert_array_equal(worst.columns["estimate"], fixed.columns["estimate"])
+        assert worst.summary["fisher_information"] == fixed.summary["fisher_information"]
 
 
 def test_phase_estimation_worst_case_qutrit_probe_uses_ip_general():
@@ -319,6 +334,28 @@ def test_sweep_werner_orders_measures():
     assert np.all(lqu <= ip + 1e-8)
     ds = table.column("ds")
     assert np.all(ds >= -1e-12)
+
+
+@pytest.mark.parametrize("spectrum", [(0.3, 2.0), (-0.5, 0.5)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_correlation_takes_closed_form_for_any_two_point_spectrum(monkeypatch, dims, spectrum):
+    rho = random_density(dims, 4, np.random.default_rng([dims[1], 7]))
+    general = {m: sim.correlation(m, rho, spectrum, general=True) for m in sim.CORRELATIONS}
+
+    def no_optimizer(*args, **kwargs):
+        raise AssertionError("the optimizer ran on a qubit probe")
+
+    for module in (uncertainty, fisher, discrimination):
+        monkeypatch.setattr(module, "minimize_over_unitaries", no_optimizer)
+    for name in sim.CORRELATIONS:
+        res = sim.correlation(name, rho, spectrum)
+        assert res.restarts_used == 0
+        assert abs(res.value - general[name].value) <= 1e-10
+        np.testing.assert_array_equal(res.certificate.spectrum, spectrum)
+    # the certificate attains the LQU value
+    lqu = sim.correlation("lqu", rho, spectrum)
+    k = embed(lqu.certificate.matrix, rho.dims, 0)
+    assert abs(skew_information(rho, k) - lqu.value) <= 1e-12
 
 
 def test_sweep_empty_grid():
