@@ -72,10 +72,11 @@ def _certificate_summary(cert: Observable | None) -> dict:
     if cert.dim == 2:
         mat = cert.matrix
         scale = 0.5 * (cert.spectrum[-1] - cert.spectrum[0])
+        # + 0.0 turns a negative zero into 0.0
         out["direction"] = [
-            float(np.real(mat[0, 1])) / scale,
-            float(-np.imag(mat[0, 1])) / scale,
-            float(np.real(mat[0, 0] - mat[1, 1])) / (2 * scale),
+            float(np.real(mat[0, 1])) / scale + 0.0,
+            float(-np.imag(mat[0, 1])) / scale + 0.0,
+            float(np.real(mat[0, 0] - mat[1, 1])) / (2 * scale) + 0.0,
         ]
     return out
 

@@ -3,6 +3,12 @@ Chernoff overlap Q = min_s tr[rho1^s rho2^(1-s)], and the discriminating
 strength (worst-case multi-copy distinguishability of a state from its
 locally rotated copy).
 
+The n-copy Helstrom error is exact: the difference of the tensor powers splits
+into Schur-Weyl blocks, built one copy at a time and taken in rho1's
+eigenframe, so that only rho2 is lifted.  One walk up these levels yields the
+error for every copy count up to n; the levels are cached once per state side
+d, and a smaller n reads a prefix of them.
+
 Fractional powers follow the support convention: zero eigenvalues contribute
 nothing for every s in [0, 1], and x^0 = 1 only for x > 0, so the endpoints
 use support projectors.
@@ -43,7 +49,7 @@ MAX_JOINT_DIM = 4096
 S_TOL = 1e-12
 # the cached levels of the latest calls hold at most this many bytes of bases
 _BASIS_CACHE_BYTES = 32 << 20
-_LEVELS: dict = {}  # (d, n) -> levels, least recently used first
+_LEVELS: dict = {}  # d -> the deepest levels built, least recently used first
 
 
 @dataclass
@@ -100,7 +106,8 @@ def _with_copy(j_mu: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
 def _build_levels(d: int, n: int) -> list:
     """Levels 1..n of the one-copy recursion: level k lists, for each partition
     lam of k into at most d rows, (lam, index of its parent mu in level k - 1,
-    f_lam, B_lam).  Level 1 is the state itself and has no basis.
+    f_lam, B_lam, letters), with letters[c] the sorted letters (the weight) of
+    column c of B_lam.  Level 1 is the state itself and has no basis.
 
     pi_mu (x) C^d splits without multiplicity into the pi_lam with lam = mu +
     one box, and the real symmetric J = sum_ij pi_mu(E_ij) (x) E_ji acts on
@@ -108,22 +115,21 @@ def _build_levels(d: int, n: int) -> list:
     the new copy).  J keeps the weight (the letters of the copies), so it is
     diagonalised one weight space at a time: every column of B_lam is a weight
     vector.  f_lam sums f_mu over all parents; B_lam comes from the first."""
-    levels = [[((1,), 0, 1, None)]]
-    letters = [[(a,) for a in range(d)]]  # each column's letters, sorted: its weight
+    levels = [[((1,), 0, 1, None, np.arange(d)[:, None])]]
     for k in range(2, n + 1):
         if k == 2:  # at level 1, J is the swap of the two copies
             js = [np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, -1)]
         else:
-            js = [_with_copy(js[i], basis, d) for _, i, _, basis in levels[-1]]
+            js = [_with_copy(js[i], basis, d) for _, i, _, basis, _ in levels[-1]]
         f, parts = {}, {}
-        for i, ((mu, _, f_mu, _), j_mu, lets) in enumerate(zip(levels[-1], js, letters)):
+        for i, ((mu, _, f_mu, _, lets), j_mu) in enumerate(zip(levels[-1], js)):
             kids = _children(mu, d)
             for lam in kids.values():
                 f[lam] = f.get(lam, 0) + f_mu
             if all(lam in parts for lam in kids.values()):
                 continue
             groups = {}  # the rows (a, p) of pi_mu (x) C^d by weight
-            for r, (w, p) in enumerate(itertools.product(lets, range(d))):
+            for r, (w, p) in enumerate(itertools.product(lets.tolist(), range(d))):
                 groups.setdefault(tuple(sorted((*w, p))), []).append(r)
             found = {}
             for w, idx in groups.items():
@@ -134,38 +140,85 @@ def _build_levels(d: int, n: int) -> list:
                         found.setdefault(lam, []).append((idx, vecs[:, keep], w))
             for lam, pieces in found.items():
                 parts.setdefault(lam, (i, len(j_mu), pieces))
-        level, letters = [], []
+        level = []
         for lam, (i, side, pieces) in parts.items():
             basis = np.zeros((side, sum(v.shape[1] for _, v, _ in pieces)))
             col = 0
             for idx, v, _ in pieces:
                 basis[idx, col : col + v.shape[1]] = v
                 col += v.shape[1]
-            basis.setflags(write=False)  # shared by every caller through the cache
-            level.append((lam, i, f[lam], basis))
-            letters.append([w for _, v, w in pieces for _ in range(v.shape[1])])
+            lets = np.array([w for _, v, w in pieces for _ in range(v.shape[1])])
+            for a in (basis, lets):  # shared by every caller through the cache
+                a.setflags(write=False)
+            level.append((lam, i, f[lam], basis, lets))
         levels.append(level)
     return levels
 
 
 def _levels(d: int, n: int) -> list:
-    """``_build_levels`` through a cache of the levels of the latest calls:
-    newly built levels join it when their bases fit in ``_BASIS_CACHE_BYTES``,
-    and the least recently used leave until all fit together."""
-    levels = _LEVELS.pop((d, n), None)
-    if levels is None:
-        levels = _build_levels(d, n)
-        if _nbytes(levels) > _BASIS_CACHE_BYTES:
-            return levels
-        while sum(map(_nbytes, [levels, *_LEVELS.values()])) > _BASIS_CACHE_BYTES:
-            del _LEVELS[next(iter(_LEVELS))]
-    _LEVELS[d, n] = levels
+    """At least n levels of ``_build_levels`` for side d, through a cache that
+    keeps the deepest levels built for each d: a shallower n reads them as a
+    prefix.  Newly built levels join it when their bases fit in
+    ``_BASIS_CACHE_BYTES``, and the least recently used leave until all fit
+    together."""
+    levels = _LEVELS.get(d)
+    if levels is not None and len(levels) >= n:
+        _LEVELS[d] = _LEVELS.pop(d)
+        return levels
+    levels = _build_levels(d, n)
+    if _nbytes(levels) > _BASIS_CACHE_BYTES:
+        return levels
+    _LEVELS.pop(d, None)
+    while sum(map(_nbytes, [levels, *_LEVELS.values()])) > _BASIS_CACHE_BYTES:
+        del _LEVELS[next(iter(_LEVELS))]
+    _LEVELS[d] = levels
     return levels
 
 
 def _nbytes(levels: list) -> int:
     """Bytes of the bases B_lam in ``levels``."""
-    return sum(basis.nbytes for level in levels[1:] for *_, basis in level)
+    return sum(basis.nbytes for level in levels[1:] for _, _, _, basis, _ in level)
+
+
+def _lift(parent: np.ndarray, mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """B^T (pi_mu (x) rho) B from the block ``parent`` of mu and the state
+    ``mat``: two products on the reshaped basis, then one real product with the
+    complex entries viewed as real pairs."""
+    m_mu, d = len(parent), len(mat)
+    y = parent @ basis.reshape(m_mu, -1)
+    y = (mat @ y.reshape(m_mu, d, -1)).reshape(len(basis), -1)
+    return (basis.T @ y.view(np.float64)).view(complex)
+
+
+def _blocks(rho1: DensityMatrix, rho2: DensityMatrix, n_max: int):
+    """Yield, for k = 1..n_max copies, the list of (f_lam, Delta_lam) with
+    Delta_lam the block of rho1^(x)k - rho2^(x)k in the Schur-Weyl split.
+
+    Level 1 is rho1 - rho2 itself.  From level 2 on the blocks are taken in
+    rho1's eigenframe, rho1 = V diag(p) V^dag: every column of B_lam is a
+    weight vector, so pi_lam(V^dag rho1 V) is the diagonal of the weight
+    monomials prod_i p_i^(w_i) of its columns, and only r2 = V^dag rho2 V is
+    lifted.  A single copy needs no eigendecomposition."""
+    if rho1.dim != rho2.dim:
+        raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
+    n_max = check_copies(n_max, rho1.dim)
+    levels = _levels(rho1.dim, n_max)
+    yield [(1, rho1.mat - rho2.mat)]
+    if n_max == 1:
+        return
+    e = rho1.eig
+    p, v = e.eigenvalues, e.eigenvectors
+    r2 = v.conj().T @ rho2.mat @ v
+    lifted = [r2]
+    for level in levels[1:n_max]:
+        lifted = [_lift(lifted[i], r2, basis) for _, i, _, basis, _ in level]
+        yield [(f, np.diag(p[lets].prod(axis=1)) - b) for (_, _, f, _, lets), b in zip(level, lifted)]
+
+
+def _error(blocks: list) -> float:
+    """(1 - ||Delta||_1 / 2) / 2 from the (f_lam, Delta_lam) of one level."""
+    norm = sum(f * trace_norm(b) for f, b in blocks)
+    return float(np.clip(0.5 * (1.0 - 0.5 * norm), 0.0, 0.5))
 
 
 def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> float:
@@ -178,35 +231,19 @@ def helstrom_error(rho1: DensityMatrix, rho2: DensityMatrix, n: int = 1) -> floa
     pi_lam(rho2)||_1, with f_lam the dimension of the symmetric-group irrep.
     The blocks are built one copy at a time (``_build_levels``):
     pi_lam(rho) = B_lam^T (pi_mu(rho) (x) rho) B_lam from the block of its
-    parent mu, so no d^n-row array is formed.
+    parent mu, so no d^n-row array is formed.  From two copies on they are
+    taken in rho1's eigenframe, where pi_lam(rho1) is diagonal and only rho2
+    is lifted (``_blocks``); one copy is rho1 - rho2 itself.
     """
-    if rho1.dim != rho2.dim:
-        raise DimMismatch(f"state sides differ: {rho1.dim} vs {rho2.dim}")
-    n = check_copies(n, rho1.dim)
-    levels = _levels(rho1.dim, n)
-    mats = np.stack((rho1.mat, rho2.mat))
-    # every level holds the pairs (pi_lam(rho1), -pi_lam(rho2)), whose sum is
-    # the block of the difference; the last level sums before its projection
-    blocks = [mats * [[[1.0]], [[-1.0]]]]
-    for level in levels[1:]:
-        last = level is levels[-1]
-        blocks = [_lift(blocks[i], mats, basis, last) for _, i, _, basis in level]
-    norm = sum(f * trace_norm(b.sum(axis=0)) for (_, _, f, _), b in zip(levels[-1], blocks))
-    err = 0.5 * (1.0 - 0.5 * norm)
-    return float(np.clip(err, 0.0, 0.5))
+    for blocks in _blocks(rho1, rho2, n):  # only the top level's blocks are kept
+        pass
+    return _error(blocks)
 
 
-def _lift(parent: np.ndarray, mats: np.ndarray, basis: np.ndarray, last: bool) -> np.ndarray:
-    """B^T (pi_mu (x) rho) B for each pair of the stacks ``parent`` (the blocks
-    of mu) and ``mats`` (the states), summed over the stack when ``last``: two
-    products on the reshaped basis, then one real product with the complex
-    entries viewed as real pairs."""
-    k, m_mu = parent.shape[:2]
-    y = parent @ basis.reshape(m_mu, -1)
-    y = (mats[:, None] @ y.reshape(k, m_mu, mats.shape[-1], -1)).reshape(k, len(basis), -1)
-    if last:
-        y = y.sum(axis=0, keepdims=True)
-    return (basis.T @ y.view(np.float64)).view(complex)
+def helstrom_errors(rho1: DensityMatrix, rho2: DensityMatrix, n_max: int) -> list:
+    """``helstrom_error`` for n = 1..n_max from one walk up the levels: equal,
+    bit for bit, to the separate calls."""
+    return [_error(blocks) for blocks in _blocks(rho1, rho2, n_max)]
 
 
 def _overlap_data(rho1: DensityMatrix, rho2: DensityMatrix):

@@ -21,7 +21,7 @@ from .discrimination import (
     chernoff,
     ds_general,
     ds_qubit_qudit,
-    helstrom_error,
+    helstrom_errors,
     max_copies,
 )
 from .errors import DegenerateGrid, OutOfRange, ZeroInformation
@@ -294,10 +294,13 @@ def run_discrimination(
     """Exact minimum-error discrimination of a state from its rotated copy for
     n = 1..n_max copies, against the Chernoff exponent.
 
-    The per-copy exponent estimate is the log decrement
+    The errors P(1..n_max) come from one walk up the Schur-Weyl levels
+    (``helstrom_errors``).  The per-copy exponent estimate is the log decrement
     -ln(P(n)/P(n-1)) with P(0) = 1/2; its value at n_max is compared with the
     asymptotic exponent.  By default n_max is the largest n <= 5 whose joint
-    side rho.dim^n stays within ``MAX_JOINT_DIM``.
+    side rho.dim^n stays within ``MAX_JOINT_DIM``.  The worst-case generator
+    is the DS certificate of ``correlation``: the closed form on a qubit probe,
+    where ``config`` goes unused, and the ``ds_general`` search otherwise.
     """
     lam = check_spectrum(spectrum, rho.dims[0])
     if n_max is None:
@@ -307,7 +310,7 @@ def run_discrimination(
     if isinstance(generator, str):
         if generator != "worst-case":
             raise OutOfRange(f"unknown generator selector {generator!r}")
-        ds = ds_general(rho, lam, config)
+        ds = correlation("ds", rho, lam, config=config)
         gen = ds.certificate
         ds_value = ds.value
     else:
@@ -315,7 +318,7 @@ def run_discrimination(
     rho2 = PhaseChannel(gen).apply(rho, -1.0)  # the rotated copy e^{iH} rho e^{-iH}
 
     ns = list(range(1, n_max + 1))
-    errors = [helstrom_error(rho, rho2, n) for n in ns]
+    errors = helstrom_errors(rho, rho2, n_max)
     with np.errstate(divide="ignore"):
         rates = [-math.log(p) / n if p > 0 else math.inf for n, p in zip(ns, errors)]
     prev = [0.5] + errors[:-1]

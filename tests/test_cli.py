@@ -128,6 +128,15 @@ def test_measure_json_artifact_contains_printed_numbers(bell_file, tmp_path, cap
     assert f"restarts {payload['restarts']}" in printed
 
 
+def test_measure_certificate_direction_has_no_negative_zero(bell_file, tmp_path, capsys):
+    out_path = tmp_path / "res.json"
+    assert main(["measure", "--lqu", bell_file, "--json", str(out_path)]) == 0
+    assert "direction 0.000000 0.000000 1.000000" in capsys.readouterr().out
+    direction = json.loads(out_path.read_text())["certificate"]["direction"]
+    assert direction == [0.0, 0.0, 1.0]
+    assert not np.signbit(direction).any()
+
+
 def test_measure_missing_file(tmp_path, capsys):
     assert main(["measure", "--lqu", str(tmp_path / "nope.json")]) == 2
     assert "nope.json" in capsys.readouterr().err

@@ -207,8 +207,8 @@ def test_helstrom_blocks_match_dense_oracle(dims, n_max, kind):
 
 def _dims(d, n):
     """(k, [(lam, f_lam, m_lam, B_lam), ...]) for the levels k = 1..n; level 1 has no basis."""
-    for k, level in enumerate(discrimination._levels(d, n), start=1):
-        yield k, [(lam, f, d if basis is None else basis.shape[1], basis) for lam, _, f, basis in level]
+    for k, level in enumerate(discrimination._levels(d, n)[:n], start=1):
+        yield k, [(lam, f, d if basis is None else basis.shape[1], basis) for lam, _, f, basis, _ in level]
 
 
 @pytest.mark.parametrize("d, n", [(2, 6), (3, 4), (4, 3), (4, 5), (6, 3), (9, 2), (5, 1)])
@@ -218,9 +218,9 @@ def test_young_bases_decompose_the_tensor_power(d, n):
         if d >= k:  # every partition of k appears: sum f_lam^2 = k!
             assert sum(f**2 for _, f, _, _ in blocks) == math.factorial(k)
     # each basis is orthonormal, and the bases of one parent's children are orthogonal
-    for level in discrimination._levels(d, n)[1:]:
-        for parent in {i for _, i, _, _ in level}:
-            stacked = np.hstack([basis for _, i, _, basis in level if i == parent])
+    for level in discrimination._levels(d, n)[1:n]:
+        for parent in {i for _, i, _, _, _ in level}:
+            stacked = np.hstack([basis for _, i, _, basis, _ in level if i == parent])
             np.testing.assert_allclose(stacked.T @ stacked, np.eye(stacked.shape[1]), rtol=0, atol=1e-12)
 
 
@@ -231,13 +231,25 @@ def test_young_bases_are_invariant_under_tensor_powers(d, n):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x /= np.linalg.norm(x, 2)
     reps = [x]
-    for level in discrimination._levels(d, n)[1:]:
+    for level in discrimination._levels(d, n)[1:n]:
         parents, reps = reps, []
-        for _, i, _, basis in level:
+        for _, i, _, basis, _ in level:
             image = np.kron(parents[i], x) @ basis
-            rep = discrimination._lift(parents[i][None], x[None], basis, False)[0]
+            rep = discrimination._lift(parents[i], x, basis)
             np.testing.assert_allclose(image, basis @ rep, rtol=0, atol=1e-12)
             reps.append(rep)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 3), (4, 3)])
+def test_lifted_diagonal_states_are_the_weight_monomials(d, n):
+    # every basis column is a weight vector, so pi_lam(diag p) = diag(prod_i p_i^(w_i))
+    p = np.random.default_rng([d, n]).dirichlet(np.ones(d))
+    diag = np.diag(p).astype(complex)
+    reps = [diag]
+    for level in discrimination._levels(d, n)[1:n]:
+        reps = [discrimination._lift(reps[i], diag, basis) for _, i, _, basis, _ in level]
+        for rep, (*_, letters) in zip(reps, level):
+            np.testing.assert_allclose(rep, np.diag(p[letters].prod(axis=1)), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("d, n", [(2, 12), (3, 5), (4, 4), (6, 3), (16, 2)])
@@ -277,29 +289,57 @@ def test_helstrom_one_copy_is_the_block_path_without_a_basis():
             b = random_density(dims, int(rng.integers(1, 5)), rng)
             expect = 0.5 * (1.0 - 0.5 * trace_norm(a.mat - b.mat))
             assert helstrom_error(a, b, 1) == float(np.clip(expect, 0.0, 0.5))
-            assert [[basis for *_, basis in level] for level in discrimination._levels(a.dim, 1)] == [[None]]
+            assert [[basis for _, _, _, basis, _ in level] for level in discrimination._levels(a.dim, 1)[:1]] == [[None]]
+            assert "eig" not in a.__dict__  # a single copy needs no eigenframe
+
+
+@pytest.mark.parametrize("dims, n_max", [((2, 2), 5), ((2, 3), 4)])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_one_walk_equals_separate_calls(dims, n_max, rank):
+    rng = np.random.default_rng([math.prod(dims), n_max, rank])
+    a, b = random_density(dims, rank, rng), random_density(dims, math.prod(dims), rng)
+    assert discrimination.helstrom_errors(a, b, n_max) == [helstrom_error(a, b, n) for n in range(1, n_max + 1)]
 
 
 def test_young_basis_cache_keeps_only_bases_within_its_budget(monkeypatch):
     rng = np.random.default_rng(13)
     a, b = random_density([2, 2], 4, rng), random_density([2, 2], 2, rng)
+    q, r = random_density([2], 2, rng), random_density([2], 1, rng)
+    t, u = random_density([3], 3, rng), random_density([3], 2, rng)
     discrimination._LEVELS.clear()
     small = helstrom_error(a, b, 4)
     expect = helstrom_error(a, b, 5)
+    assert [len(levels) for levels in discrimination._LEVELS.values()] == [5]
+
+    def no_build(*args):
+        raise AssertionError("levels built again")
+
+    # a shallower call reads the deeper levels as a prefix, to the same bits
+    with monkeypatch.context() as m:
+        m.setattr(discrimination, "_build_levels", no_build)
+        assert helstrom_error(a, b, 4) == small
+        assert helstrom_error(a, b, 5) == expect
+    helstrom_error(q, r, 6)
     sizes = {key: discrimination._nbytes(levels) for key, levels in discrimination._LEVELS.items()}
-    assert list(sizes) == [(4, 4), (4, 5)]
+    assert list(sizes) == [4, 2]
     assert sum(sizes.values()) <= discrimination._BASIS_CACHE_BYTES
     # a call moves its levels to the most recently used end
-    assert helstrom_error(a, b, 4) == small
-    assert list(discrimination._LEVELS) == [(4, 5), (4, 4)]
+    helstrom_error(a, b, 3)
+    assert list(discrimination._LEVELS) == [2, 4]
     # new levels that do not fit beside the others drop the least recently used
     monkeypatch.setattr(discrimination, "_BASIS_CACHE_BYTES", sum(sizes.values()) - 1)
-    helstrom_error(a, b, 3)
-    assert list(discrimination._LEVELS) == [(4, 4), (4, 3)]
+    helstrom_error(t, u, 2)
+    assert list(discrimination._LEVELS) == [4, 3]
     # levels above the budget on their own serve their call uncached and leave the rest
-    monkeypatch.setattr(discrimination, "_BASIS_CACHE_BYTES", sizes[4, 5] - 1)
+    alone = discrimination._nbytes(discrimination._build_levels(3, 4))
+    monkeypatch.setattr(discrimination, "_BASIS_CACHE_BYTES", alone - 1)
+    deep = helstrom_error(t, u, 4)
+    assert list(discrimination._LEVELS) == [4, 3]
+    assert len(discrimination._LEVELS[3]) == 2
+    discrimination._LEVELS.clear()
+    monkeypatch.undo()
     assert helstrom_error(a, b, 5) == expect
-    assert list(discrimination._LEVELS) == [(4, 4), (4, 3)]
+    assert helstrom_error(t, u, 4) == deep
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,16 @@ def test_discrimination_worst_case_matches_ds():
     assert abs(ds - closed) < 1e-6
 
 
+def test_discrimination_worst_case_takes_the_qubit_closed_form(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("optimizer ran on a qubit probe")
+
+    monkeypatch.setattr(discrimination, "minimize_over_unitaries", no_search)
+    rho = random_density([2, 2], 4, np.random.default_rng(5))
+    rec = run_discrimination(rho, [-0.6, 0.6], generator="worst-case", n_max=2)
+    assert rec.summary["discriminating_strength"] == ds_qubit_qudit(rho, 0.6).value
+
+
 def test_discrimination_copy_guard():
     with pytest.raises(TooManyCopies):
         run_discrimination(make_bell(), [-0.5, 0.5], generator="worst-case", n_max=10)
