@@ -18,8 +18,15 @@ accepted values; Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 23, 707
 (1986)) and halves the step of the others.  Accepted steps set the next step
 length by the Barzilai-Borwein rule (Raydan, SIAM J. Optim. 7, 26 (1997)).
 A restart stops when both its last change of value and the decrease the
-Barzilai-Borwein model still expects fall below ``value_tol / 1000``, or
-after ``MAXITER`` evaluations.
+Barzilai-Borwein model still expects fall below ``value_tol / 1000``, when
+its gradient vanishes, or when its step underflows.
+
+The batch stops once its answer is settled (Törn & Žilinskas, Global
+Optimization (1989), on stopping multistart methods): when ``QUORUM`` stopped
+restarts lie within ``reproduce_tol`` of the lowest stopped value and no
+active restart is below that value, or after ``MAXITER`` evaluations.  A
+stopped restart's U never changes again, so the exit can only lose a value
+that a still-active restart, now above the settled one, would reach later.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
 MAX_ANGLE = 1.0  # largest rotation |t Omega|_F of one step, in radians
 MEMORY = 10  # accepted values the nonmonotone Armijo test compares against
 TIE_TOL = 1e-12  # restarts within this fraction of max(1, |f_min|) of the best tie
+QUORUM = 3  # stopped restarts within reproduce_tol that settle the batch and its vote
 
 
 @dataclass
@@ -43,8 +51,10 @@ class OptimizerConfig:
 
     restarts:       independent Haar-seeded local descents (min over all)
     value_tol:      target accuracy of the optimal value
-    reproduce_tol:  the run is flagged converged when >= 3 restarts land
-                    within this distance of the best value
+    reproduce_tol:  the batch stops once QUORUM stopped restarts land within
+                    this distance of the lowest stopped value (no active one
+                    below it), and is flagged converged when QUORUM restarts
+                    land within it of the best value
     seed:           seed for the restart sampler (determinism contract)
     """
 
@@ -110,13 +120,27 @@ def _evaluate(cost, u: np.ndarray):
     return values, grad @ dagger(u) - u @ dagger(grad)
 
 
+def _settled(f: np.ndarray, active: np.ndarray, tol: float) -> bool:
+    """Whether ``QUORUM`` stopped restarts lie within ``tol`` of the lowest
+    stopped value and no active restart is below it."""
+    stopped = f[~active]
+    if stopped.size < QUORUM:
+        return False
+    low = stopped.min()
+    return int(np.sum(stopped <= low + tol)) >= QUORUM and not np.any(f[active] < low)
+
+
 def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None):
     """Multi-start minimization of a batched ``cost(U) -> (values, gradients)``
     over d x d unitaries.
 
     Returns (best_value, best_unitary, restarts_used, converged, all_values).
-    The best is the lowest-index restart within ``TIE_TOL`` of the minimum, so
-    exact ties (K and -K on a symmetric spectrum) do not follow rounding.
+    The batch exits once ``QUORUM`` stopped restarts lie within
+    ``reproduce_tol`` of the lowest stopped value and no active restart is
+    below it; ``all_values`` holds each restart's final value, and for a
+    restart still active at exit its current one.  The best is the
+    lowest-index restart within ``TIE_TOL`` of the minimum, so exact ties
+    (K and -K on a symmetric spectrum) do not follow rounding.
     """
     cfg = config or OptimizerConfig()
     n = check_integer(cfg.restarts, "restart count")
@@ -132,7 +156,7 @@ def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None)
     recent = np.repeat(f[:, None], MEMORY, axis=1)
     for _ in range(MAXITER):
         idx = np.flatnonzero(active)
-        if idx.size == 0:
+        if idx.size == 0 or _settled(f, active, cfg.reproduce_tol):
             break
         t = step[idx]
         # exp(-t Omega) from the eigenpairs of the Hermitian i Omega
@@ -166,5 +190,5 @@ def minimize_over_unitaries(cost, d: int, config: OptimizerConfig | None = None)
         active[acc[done | (grad_sq[acc] == 0.0)]] = False
     f_min = float(np.min(f))
     best = int(np.argmax(f <= f_min + TIE_TOL * max(1.0, abs(f_min))))
-    converged = int(np.sum(f <= f[best] + cfg.reproduce_tol)) >= 3
+    converged = int(np.sum(f <= f[best] + cfg.reproduce_tol)) >= QUORUM
     return float(f[best]), u[best], n, converged, f

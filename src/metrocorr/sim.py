@@ -322,8 +322,10 @@ def run_discrimination(
     with np.errstate(divide="ignore"):
         rates = [-math.log(p) / n if p > 0 else math.inf for n, p in zip(ns, errors)]
     prev = [0.5] + errors[:-1]
+    # P(n) = 0 gives +inf; rounding can also leave P(n - 1) at 0 below P(n) > 0
     decrements = [
-        -math.log(p / q) if p > 0 else math.inf for p, q in zip(errors, prev)
+        math.inf if p == 0 else -math.inf if q == 0 else -math.log(p / q)
+        for p, q in zip(errors, prev)
     ]
     ch = chernoff(rho, rho2)
     summary = {

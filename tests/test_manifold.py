@@ -9,13 +9,13 @@ import pytest
 from helpers import brent_overlap_minimum, random_hermitian
 
 import metrocorr
-from metrocorr import discrimination, fisher, uncertainty
+from metrocorr import discrimination, fisher, manifold, uncertainty
 from metrocorr.discrimination import _overlap_data, _s_overlap_minimum
 from metrocorr.errors import ConvergenceFailure, OutOfRange
 from metrocorr.fisher import qfi
 from metrocorr.linalg import apply_local, embed, haar_unitary, random_density
 from metrocorr.manifold import OptimizerConfig, minimize_over_unitaries
-from metrocorr.states import random_cq
+from metrocorr.states import make_bell, make_werner, random_cq
 from metrocorr.uncertainty import skew_information
 
 LAMBDAS = {"pi/4": np.pi / 4, "pi/2": np.pi / 2}
@@ -148,6 +148,81 @@ def test_restarts_start_from_haar_sequence():
     for got, want in zip(starts, expect):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(u, expect[0])
+
+
+def _two_landscape_cost(level, log):
+    """A batched cost on U(2) in x = |U_00|^2.  The restart whose det U is that
+    of Haar start 0 sees level + (1 - x)^4, a quartic well it descends slowly;
+    every other restart sees (x - 0.3)^2, a quadratic well that settles at 0
+    in a few steps.  The gradient's Omega is traceless, so det U, and with it
+    each restart's landscape, never changes.  ``log`` gets, per evaluation,
+    the batch's mask of that restart and the values."""
+    start = haar_unitary(2, np.random.default_rng(0))
+    phase = np.angle(np.linalg.det(start))
+
+    def cost(u):
+        x = np.abs(u[:, 0, 0]) ** 2
+        slow = np.abs(np.angle(np.linalg.det(u)) - phase) < 1e-9
+        values = np.where(slow, level + (1.0 - x) ** 4, (x - 0.3) ** 2)
+        slope = np.where(slow, -4.0 * (1.0 - x) ** 3, 2.0 * (x - 0.3))
+        grad = np.zeros_like(u)
+        grad[:, 0, 0] = 2.0 * slope * u[:, 0, 0]
+        log.append((slow, values))
+        return values, grad
+
+    return cost
+
+
+def test_exit_waits_for_an_active_restart_below_the_settled_value():
+    log = []
+    cost = _two_landscape_cost(-1.0, log)
+    best, u, used, converged, values = minimize_over_unitaries(cost, 2, OptimizerConfig(restarts=6, seed=0))
+    # the slow restart's well, not the quorum's shallow one at 0
+    assert abs(best + 1.0) < 1e-9 and values[0] == best
+    assert np.all(values[1:] >= 0.0) and np.sum(values[1:] < 1e-9) >= 3
+    # once all five shallow restarts had stopped, the slow one ran on alone,
+    # below the settled value, until its own stopping test ended the batch
+    alone = [vals for slow, vals in log if slow.tolist() == [True]]
+    assert len(alone) >= 5 and all(vals[0] < 0.0 for vals in alone)
+    assert log[-1][0].tolist() == [True]
+
+
+def test_exit_leaves_an_active_restart_above_the_settled_value():
+    below, above = [], []
+    minimize_over_unitaries(_two_landscape_cost(-1.0, below), 2, OptimizerConfig(restarts=6, seed=0))
+    best, u, used, converged, values = minimize_over_unitaries(
+        _two_landscape_cost(1.0, above), 2, OptimizerConfig(restarts=6, seed=0)
+    )
+    assert 0.0 <= best < 1e-9 and converged
+    # the slow restart was still descending when the quorum settled the batch
+    assert above[-1][0].any() and values[0] > 1.0 + 1e-9
+    assert len(above) < len(below)
+
+
+def test_fewer_restarts_than_the_quorum_run_to_the_end():
+    log = []
+    config = OptimizerConfig(restarts=manifold.QUORUM - 1, seed=0)
+    best, u, used, converged, values = minimize_over_unitaries(_two_landscape_cost(1.0, log), 2, config)
+    assert not converged and abs(values[0] - 1.0) < 1e-9
+    assert log[-1][0].tolist() == [True]
+
+
+@pytest.mark.parametrize("state", [make_werner(0.7), make_bell()], ids=["werner-0.7", "bell"])
+@pytest.mark.parametrize("name", ["lqu", "ip", "ds"])
+def test_flat_costs_stop_at_once(monkeypatch, state, name):
+    # these states are invariant under U x U*, so every qubit observable is
+    # optimal: the first stopped restarts settle the batch
+    calls = []
+    evaluate = manifold._evaluate
+
+    def counting(cost, u):
+        calls.append(len(u))
+        return evaluate(cost, u)
+
+    monkeypatch.setattr(manifold, "_evaluate", counting)
+    search = {"lqu": uncertainty.lqu_general, "ip": fisher.ip_general, "ds": discrimination.ds_general}
+    res = search[name](state, np.array([-1.0, 1.0]) * (np.pi / 4 if name == "ds" else 1.0))
+    assert res.converged and 1 <= len(calls) <= 3
 
 
 @pytest.mark.parametrize(

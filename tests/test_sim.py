@@ -10,7 +10,7 @@ from metrocorr import discrimination, fisher, sim, uncertainty
 from metrocorr.discrimination import ds_qubit_qudit
 from metrocorr.errors import DegenerateGrid, OutOfRange, TooManyCopies, ZeroInformation
 from metrocorr.fisher import ip_general
-from metrocorr.linalg import Observable, embed, linear_spectrum, random_density
+from metrocorr.linalg import Observable, embed, haar_unitary, linear_spectrum, random_density
 from metrocorr.manifold import OptimizerConfig
 from metrocorr.sim import (
     EstimationConfig,
@@ -309,6 +309,36 @@ def test_discrimination_numpy_copy_count_gives_a_plain_record():
     plain = run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=3)
     assert type(rec.config["n_max"]) is int
     assert rec.to_json() == plain.to_json()
+
+
+def _expected_decrements(errors):
+    prev = [0.5] + errors[:-1]
+    return [
+        np.inf if p == 0 else -np.inf if q == 0 else -np.log(p / q)
+        for p, q in zip(errors, prev)
+    ]
+
+
+def test_discrimination_orthogonal_pair_writes_infinite_decrements():
+    # Bell against a copy rotated by pi/2 about a Haar axis (draw 38 of one
+    # default_rng(0) stream) is orthogonal: the errors are rounding noise, and
+    # a zero P(n - 1) below a nonzero P(n) once raised ZeroDivisionError
+    rng = np.random.default_rng(0)
+    basis = [haar_unitary(2, rng) for _ in range(39)][38]
+    obs = Observable([-np.pi / 2, np.pi / 2], basis)
+    rec = run_discrimination(make_bell(), obs.spectrum, generator=obs, n_max=5)
+    errors = rec.columns["error"]
+    assert all(0.0 <= e < 1e-15 for e in errors)
+    assert rec.columns["decrement"] == _expected_decrements(errors)
+    assert rec.to_tsv().count("\n") == 6
+
+
+def test_discrimination_zero_error_before_a_nonzero_one(monkeypatch):
+    monkeypatch.setattr(sim, "helstrom_errors", lambda rho1, rho2, n_max: [0.0, 1e-16, 0.0, 5e-17])
+    rec = run_discrimination(make_bell(), SZ.spectrum, generator=SZ, n_max=4)
+    assert rec.columns["decrement"] == [np.inf, -np.inf, np.inf, -np.inf]
+    assert rec.summary["exponent_estimate"] == -np.inf
+    assert "-inf" in rec.to_tsv() and "-Infinity" in rec.to_json()
 
 
 def test_discrimination_record_roundtrip():
